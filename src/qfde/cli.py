@@ -5,7 +5,8 @@ Subcommands
     qfde converge --problem NAME --q Q --N-list a,b,c --delta D [...]
     qfde bounds   --problem NAME --q Q --N N [...]
 
-Exit codes: 0 success, 1 solver non-convergence, 2 bound violation,
+Exit codes: 0 success, 1 numerical failure (solver non-convergence and
+every other :class:`~qfde.errors.QCalculusError`), 2 bound violation,
 3 invalid arguments.
 """
 
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FixedPointError, NonConvergenceError, QCalculusError
+from .errors import FixedPointError, QCalculusError
 from .problems import default_alpha, make_problem, problem_names
 from .qcore import QScale, SeriesControl, q_derivative_n
 from .solver import (
@@ -408,10 +409,10 @@ def main(argv=None) -> int:
             _write_output(args.out, lambda fh: emit_bounds(report, fh))
             return EXIT_OK if ok else EXIT_BOUND
 
-    except (FixedPointError, NonConvergenceError) as err:
+    except QCalculusError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_SOLVER
-    except (ValueError, KeyError, NotImplementedError, QCalculusError) as err:
+    except (ValueError, KeyError, NotImplementedError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ARGS
     raise AssertionError(f"unhandled command {args.command!r}")

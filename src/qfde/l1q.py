@@ -6,27 +6,28 @@ time scale; the discrete fractional operator is
     D^alpha x^n  ~=  (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}),
 
 with weights b_k = (1/dt_k) int_{t_{k-1}}^{t_k} (t_n - qs)^(-alpha) d_q s.
-For k >= 2 the weight collapses to the closed form (t_n - q t_k)^(-alpha)
-because t_{k-1} = q t_k; the first subinterval starts at 0, so b_1 keeps
-its Jackson series (one shifted-factorial evaluation per term).
+On this mesh every weight is t_n^(-alpha) times a number that depends
+only on q, alpha and the distance n - k (Gasper & Rahman, *Basic
+Hypergeometric Series*, 2nd ed., ch. 1):
+
+    b_k(n) = t_n^(-alpha) G(n-k)  for k >= 2,    b_1(n) = t_n^(-alpha) S(n),
+    G(m)   = (q^(m+1); q)_inf / (q^(m+1-alpha); q)_inf,
+    S(n)   = (1-q) sum_{i>=0} q^i G(n-1+i)  (the Jackson series of b_1).
+
+:func:`weight_table` builds G, S and the gaps of the weight chain for
+every distance at once from downward recurrences, so one table serves
+every node of every mesh with that q and alpha.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import b1_weight as _b1_weight
-from .errors import MonotonicityError
-from .qcore import (
-    DEFAULT_CONTROL,
-    QScale,
-    SeriesControl,
-    q_gamma,
-    shifted_factorial_real,
-)
+from .errors import MonotonicityError, NonConvergenceError
+from .qcore import DEFAULT_CONTROL, QScale, SeriesControl, q_gamma
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,44 @@ class QMesh:
 
 
 @dataclass(frozen=True)
+class WeightTable:
+    """The weights of the geometric mesh in units of t_n^(-alpha).
+
+    For a target node n <= len(G):
+
+        b_k(n)           = t_n^(-alpha) G[n-k]   (2 <= k <= n),
+        b_1(n)           = t_n^(-alpha) S[n],
+        b_{k+1} - b_k    = t_n^(-alpha) D[n-k]   (2 <= k < n),
+        b_2 - b_1        = t_n^(-alpha) R[n]     (n >= 2).
+
+    Arrays are indexed by distance m or node n directly; S[0], R[0],
+    R[1] and D[0] are unused.
+    """
+
+    q: float
+    alpha: float
+    G: np.ndarray   # G[m], m = 0..size-1
+    D: np.ndarray   # D[m] = G[m-1] - G[m], m = 1..size-1
+    S: np.ndarray   # S[n], n = 1..size
+    R: np.ndarray   # R[n] = G[n-2] - S[n], n = 2..size
+
+    def __post_init__(self):
+        for a in (self.G, self.D, self.S, self.R):
+            a.setflags(write=False)
+
+
+@dataclass(frozen=True)
 class L1qCoefficients:
     """Difference weights b_1 .. b_n targeting node index n."""
 
     n: int
     alpha: float
     weights: np.ndarray  # weights[k-1] = b_k
+    gaps: np.ndarray     # gaps[k-1] = b_{k+1} - b_k, k = 1..n-1
 
     def __post_init__(self):
         self.weights.setflags(write=False)
+        self.gaps.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -65,47 +95,106 @@ class TruncationBound:
 
 
 def build_mesh(scale: QScale, N: int) -> QMesh:
-    """Mesh t_0 = 0, t_k = b q^(N-k) for k = 1..N."""
+    """Mesh t_0 = 0, t_k = b q^(N-k) for k = 1..N.
+
+    Raises ValueError once t_1 = b q^(N-1) underflows, that is, once the
+    nodes stop increasing strictly in double precision.
+    """
     if N < 1:
         raise ValueError(f"mesh needs N >= 1, got {N}")
     k = np.arange(1, N + 1)
     nodes = np.concatenate(([0.0], scale.b * scale.q ** (N - k).astype(float)))
-    return QMesh(scale=scale, N=N, nodes=nodes, steps=np.diff(nodes))
+    steps = np.diff(nodes)
+    if not np.all(steps > 0.0):
+        # nodes[1:] holds b q^j for j = N-1 .. 0; the mesh of size N' uses
+        # the last N' of them, so the limit is the run of strictly
+        # decreasing positive values from the top.
+        top = nodes[:0:-1]
+        limit = int(np.flatnonzero((top[1:] >= top[:-1]) | (top[1:] <= 0.0))[0]) + 1
+        raise ValueError(
+            f"mesh node t_1 = b*q^(N-1) underflows at q={scale.q!r}, "
+            f"b={scale.b!r}: N={N} exceeds the limit N <= {limit}")
+    return QMesh(scale=scale, N=N, nodes=nodes, steps=steps)
 
 
-@lru_cache(maxsize=4096)
-def _weights_cached(q: float, b: float, N: int, n: int, alpha: float,
-                    rel_tol: float, max_terms: int) -> tuple:
-    t = build_mesh(QScale(q=q, b=b), N).nodes
-    ctl = SeriesControl(rel_tol=rel_tol, max_terms=max_terms)
-    w = np.empty(n)
-    w[0] = _b1_weight(t[n], t[1], alpha, q, rel_tol, max_terms)
-    for j in range(2, n + 1):
-        w[j - 1] = shifted_factorial_real(t[n], q * t[j], -alpha, q, ctl)
-    return tuple(w)
+def weight_table(q: float, alpha: float, size: int,
+                 ctl: SeriesControl = DEFAULT_CONTROL) -> WeightTable:
+    """G, D, S and R of :class:`WeightTable` for target nodes n <= size.
+
+    One downward pass from a tail index M = max(size, T), where
+    q^T <= ctl.rel_tol, runs the recurrences
+
+        G(m-1) = G(m) (1-q^m)/(1-q^(m-alpha)),  that is G(m-1) = G(m) + D(m),
+        D(m)   = G(m) q^m (q^(-alpha)-1)/(1-q^(m-alpha)),
+        S(n)   = (1-q) G(n-1) + q S(n+1),
+        R(n)   = D(n-1) + q R(n+1),
+
+    carrying G - 1 and D in units of q^m, and S - 1 and R in units of
+    q^(n-1).  Each is then a sum of positive terms, free of cancellation,
+    and of order 1, so none underflows where q^m does.  The pass starts
+    from the leading terms of the tail sums, whose relative error is
+    O(q^M) <= rel_tol, and damps that error by q per step.
+
+    The strict chain t_n^(-alpha) < b_1 < ... < b_n, that is D > 0 and
+    S - 1 > 0, is asserted on the scaled values as a corruption detector.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"scale index q must be in (0, 1), got {q}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"fractional order must be in (0, 1), got {alpha}")
+    if size < 1:
+        raise ValueError(f"weight table needs size >= 1, got {size}")
+    tail = math.ceil(math.log(ctl.rel_tol) / math.log(q))
+    if tail > ctl.max_terms:
+        raise NonConvergenceError(
+            f"weight table tail needs {tail} terms at q={q!r}, over "
+            f"max_terms={ctl.max_terms}")
+    M = max(size, tail)
+    qm = q ** np.arange(M + 1, dtype=float)
+    den = (1.0 - q ** (np.arange(M + 1) - alpha)).tolist()
+    c = q ** -alpha - 1.0
+    qq = q * q
+    g = [0.0] * (M + 1)    # (G(m) - 1)/q^m
+    d = [0.0] * (M + 1)    # D(m)/q^m
+    e = [0.0] * (M + 2)    # (S(n) - 1)/q^(n-1)
+    r = [0.0] * (M + 2)    # R(n)/q^(n-1)
+    g[M] = c * q / (1.0 - q)
+    e_next = c * q / (1.0 - qq)
+    r_next = c / (1.0 - qq)
+    for m, q_m in zip(range(M, 0, -1), qm[M:0:-1].tolist()):
+        d[m] = (1.0 + q_m * g[m]) * c / den[m]
+        g[m - 1] = q * (g[m] + d[m])
+        e[m] = e_next = (1.0 - q) * g[m - 1] + qq * e_next
+        r[m + 1] = r_next = d[m] + qq * r_next
+    d_used = np.array(d[1:size])
+    e_used = np.array(e[1:size + 1])
+    if not (np.all(d_used > 0.0) and np.all(e_used > 0.0)):
+        raise MonotonicityError(
+            f"weight chain t_n^-alpha < b_1 < ... < b_n violated for "
+            f"q={q!r}, alpha={alpha!r} (check the truncation tolerance)")
+    G = 1.0 + qm[:size] * np.array(g[:size])
+    D = np.concatenate(([0.0], qm[1:size] * d_used))
+    S = np.concatenate(([0.0], 1.0 + qm[:size] * e_used))
+    R = np.concatenate(([0.0, 0.0], qm[1:size] * np.array(r[2:size + 1])))
+    return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S, R=R)
 
 
 def coefficients(mesh: QMesh, n: int, alpha: float,
                  ctl: SeriesControl = DEFAULT_CONTROL) -> L1qCoefficients:
-    """Weights b_1 .. b_n for target node n; cached per (mesh, n, alpha).
+    """Weights b_1 .. b_n for target node n, and the gaps of their chain.
 
-    b_k for k >= 2 uses the closed form (t_n - q t_k)^(-alpha); b_1 is
-    the Jackson series.  The strict chain t_n^(-alpha) < b_1 < ... < b_n
-    is asserted after computation as a corruption detector.
+    Read off a fresh :func:`weight_table` of size n and scaled by
+    t_n^(-alpha); the table asserts the strict chain
+    t_n^(-alpha) < b_1 < ... < b_n.
     """
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must be in (0, 1), got {alpha}")
-    scale = mesh.scale
-    w = np.array(_weights_cached(scale.q, scale.b, mesh.N, n, alpha,
-                                 ctl.rel_tol, ctl.max_terms))
-    floor = mesh.nodes[n] ** (-alpha)
-    if w[0] <= floor or np.any(np.diff(w) <= 0.0):
-        raise MonotonicityError(
-            f"weight chain t_n^-alpha < b_1 < ... < b_n violated at n={n} "
-            f"(check the truncation tolerance)")
-    return L1qCoefficients(n=n, alpha=alpha, weights=w)
+    table = weight_table(mesh.scale.q, alpha, n, ctl)
+    scale = mesh.nodes[n] ** (-alpha)
+    weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
+    gaps = scale * np.concatenate((table.R[n:n + 1] if n >= 2 else [],
+                                   table.D[1:n - 1][::-1]))
+    return L1qCoefficients(n=n, alpha=alpha, weights=weights, gaps=gaps)
 
 
 def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients, q: float,
@@ -127,10 +216,10 @@ def rearranged_step_weights(coeffs: L1qCoefficients):
     """Weights of the solved-for-x^n form of the difference equation.
 
     b_n x^n = b_1 x^0 + sum_k (b_{k+1} - b_k) x^k + Gamma_q(1-alpha) f^n
-    maps to (lead, history, init) = (b_n, diffs of consecutive weights, b_1).
+    maps to (lead, history, init) = (b_n, gaps of the weight chain, b_1).
     """
     w = coeffs.weights
-    return w[-1], np.diff(w), w[0]
+    return w[-1], coeffs.gaps, w[0]
 
 
 def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float,

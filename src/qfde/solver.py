@@ -1,15 +1,19 @@
 """Implicit time stepping for the q-fractional initial value problem.
 
-Each step solves
+With the weights b_k(n) = t_n^(-alpha) G(n-k) (k >= 2) and
+b_1(n) = t_n^(-alpha) S(n) of one :class:`~qfde.l1q.WeightTable` per
+solve, step n solves the increment form
 
-    b_n x^n = b_1 x^0 + sum_{k<n} (b_{k+1} - b_k) x^k + Gamma_q(1-alpha) f(t_n, x^n)
+    lead_n dx^n = Gamma_q(1-alpha) t_n^alpha f(t_n, x^n) - hist_n,
+    hist_n = S(n) dx^1 + sum_{k=2}^{n-1} G(n-k) dx^k,
 
-by Picard iteration.  The starting iterate is x^{n-1} nudged by a small
-relative perturbation: problems whose right-hand side vanishes at the
-initial value (the nonlinear registry problem does) make the constant
-continuation a spurious repelling fixed point, and starting exactly on
-it would freeze the iteration there.  The nudge is absorbed in one
-contraction step for regular Lipschitz problems.
+for dx^n = x^n - x^{n-1}, with lead_1 = S(1) and lead_n = G(0) after.
+A nonlinear step solves it by Picard iteration.  The starting iterate
+is x^{n-1} nudged by a small relative perturbation: problems whose
+right-hand side vanishes at the initial value (the nonlinear registry
+problem does) make the constant continuation a spurious repelling fixed
+point, and starting exactly on it would freeze the iteration there.  The
+nudge is absorbed in one contraction step for regular Lipschitz problems.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share no mutable state and may run concurrently.
@@ -17,13 +21,14 @@ distinct solves share no mutable state and may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FixedPointError
-from .l1q import QMesh, build_mesh, coefficients, rearranged_step_weights
+from .l1q import QMesh, build_mesh, weight_table
 from .qcore import DEFAULT_CONTROL, QFunction, QScale, SeriesControl, q_gamma
 
 
@@ -100,18 +105,40 @@ def _norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
+def _march(mesh: QMesh, alpha: float, states: np.ndarray, ctl: SeriesControl,
+           step: Callable[[int, float, np.ndarray, float], np.ndarray]) -> None:
+    """Fill states[1:] by the increment form of the scheme.
+
+    step(n, t_n, base, gain) returns x^n = base + gain * f^n for the
+    caller's f^n, where base = x^{n-1} - hist_n / lead_n and
+    gain = Gamma_q(1-alpha) t_n^alpha / lead_n.
+    """
+    table = weight_table(mesh.scale.q, alpha, mesh.N, ctl)
+    gamma = q_gamma(1.0 - alpha, mesh.scale.q, ctl)
+    dx = np.zeros_like(states)
+    G, S = table.G, table.S
+    for n in range(1, mesh.N + 1):
+        t_n = mesh.nodes[n]
+        if n == 1:
+            lead, hist = S[1], 0.0
+        else:
+            lead, hist = G[0], S[n] * dx[1] + G[n - 2:0:-1] @ dx[2:n]
+        x = step(n, t_n, states[n - 1] - hist / lead, gamma * t_n ** alpha / lead)
+        states[n] = x
+        dx[n] = states[n] - states[n - 1]
+
+
 def solve_ivp(problem: IVProblem, scale: QScale, N: int,
               config: SolverConfig = SolverConfig()) -> SolveTrace:
     """March the implicit scheme over the N-node geometric mesh.
 
     Raises :class:`FixedPointError` (carrying the partial trace) if any
-    step exhausts max_fp_iters.
+    step exhausts max_fp_iters or meets a non-finite value.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     mesh = build_mesh(scale, N)
     ctl = config.series
-    gamma = q_gamma(1.0 - problem.alpha, scale.q, ctl)
     alpha = problem.alpha
 
     states = np.zeros((N + 1, problem.d))
@@ -128,34 +155,31 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                        fp_increment_history=history)
 
     pert = config.start_perturbation
-    for n in range(1, N + 1):
-        lead, hist_w, init_w = rearranged_step_weights(
-            coefficients(mesh, n, alpha, ctl))
-        known = init_w * states[0]
-        for k in range(1, n):
-            known = known + hist_w[k - 1] * states[k]
-        t_n = mesh.nodes[n]
 
+    def picard(n, t_n, base, gain):
         x = states[n - 1] * (1.0 + pert) + pert
         increments: list = []
-        converged = False
+        history.append(increments)
         for _ in range(config.max_fp_iters + 1):
-            x_new = (known + gamma * np.asarray(problem.f(t_n, x), dtype=float)) / lead
+            x_new = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
             inc = _norm(x_new - x)
             increments.append(inc)
+            if not math.isfinite(inc):
+                trace.states = states[:n]
+                raise FixedPointError(
+                    f"non-finite value at step n={n} (t={t_n:.6g}) on update "
+                    f"{len(increments)}", step=n, trace=trace)
             x = x_new
             if inc <= config.fp_tol * (1.0 + _norm(x_new)):
-                converged = True
-                break
-        history.append(increments)
-        if not converged:
-            trace.states = states[:n]
-            raise FixedPointError(
-                f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
-                f"converge within {config.max_fp_iters} updates", step=n, trace=trace)
-        states[n] = x
-        iters[n - 1] = max(len(increments) - 1, 1)
-        residuals[n - 1] = increments[-1]
+                iters[n - 1] = max(len(increments) - 1, 1)
+                residuals[n - 1] = inc
+                return x
+        trace.states = states[:n]
+        raise FixedPointError(
+            f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
+            f"converge within {config.max_fp_iters} updates", step=n, trace=trace)
+
+    _march(mesh, alpha, states, ctl, picard)
     return trace
 
 
@@ -173,17 +197,11 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
         raise ValueError(f"need N={N} forcing samples, got {fsamples.shape[0]}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mesh = build_mesh(scale, N)
-    gamma = q_gamma(1.0 - alpha, scale.q, ctl)
 
     states = np.zeros((N + 1, x0.shape[0]))
     states[0] = x0
-    for n in range(1, N + 1):
-        lead, hist_w, init_w = rearranged_step_weights(
-            coefficients(mesh, n, alpha, ctl))
-        known = init_w * states[0]
-        for k in range(1, n):
-            known = known + hist_w[k - 1] * states[k]
-        states[n] = (known + gamma * fsamples[n - 1]) / lead
+    _march(mesh, alpha, states, ctl,
+           lambda n, t_n, base, gain: base + gain * fsamples[n - 1])
     return SolveTrace(mesh=mesh, states=states,
                       fp_iterations=np.ones(N, dtype=int),
                       residuals=np.zeros(N))

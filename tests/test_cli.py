@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qfde import MonotonicityError, NonConvergenceError, cli
 from qfde.cli import (
     EXIT_ARGS,
     EXIT_BOUND,
@@ -122,6 +123,40 @@ def test_main_solver_failure_writes_partial(tmp_path, capsys):
     assert code == EXIT_SOLVER
     assert parse_csv(out.open()).rows == []  # step 1 failed, header only
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_main_numerical_failure_exit_code(monkeypatch, capsys):
+    # numerical failures exit 1; invalid arguments, such as a mesh past
+    # the underflow limit, exit 3
+    def failing_solve(*args, **kwargs):
+        raise MonotonicityError("weight chain violated (test double)")
+
+    monkeypatch.setattr(cli, "solve_ivp", failing_solve)
+    assert main(["solve", "--problem", "example2", "--q", "2/3",
+                 "--N", "10"]) == EXIT_SOLVER
+    assert main(["converge", "--problem", "example2", "--q", "2/3",
+                 "--N-list", "6,8", "--delta", "0.5"]) == EXIT_SOLVER
+    assert main(["bounds", "--problem", "example1", "--q", "1/4",
+                 "--N", "6"]) == EXIT_SOLVER
+    assert "weight chain violated" in capsys.readouterr().err
+
+    def nonconvergent_solve(*args, **kwargs):
+        raise NonConvergenceError("series did not settle (test double)")
+
+    monkeypatch.setattr(cli, "solve_ivp", nonconvergent_solve)
+    assert main(["solve", "--problem", "example2", "--q", "2/3",
+                 "--N", "10"]) == EXIT_SOLVER
+    monkeypatch.undo()
+    assert main(["solve", "--problem", "manufactured-quadratic", "--q", "1/4",
+                 "--N", "539"]) == EXIT_ARGS
+    assert "exceeds the limit N <= 538" in capsys.readouterr().err
+
+
+def test_main_solve_past_old_rejection(capsys):
+    # example2 at q=2/3, N=100 was once rejected as a numerical failure
+    assert main(["solve", "--problem", "example2", "--q", "2/3",
+                 "--N", "100"]) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 102  # metadata, header, 100 rows
 
 
 def test_run_convergence_summary():

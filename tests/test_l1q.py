@@ -1,5 +1,7 @@
 """Unit tests for the geometric mesh and the difference-formula weights."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from qfde import (
     rearranged_step_weights,
     shifted_factorial_real,
     truncation_bound,
+    weight_table,
 )
 
-from oracles import mp_b1, mp_b1_telescoped
+from oracles import mp_b1, mp_b1_telescoped, mp_shifted_real
 
 
 def test_build_mesh_small():
@@ -51,6 +54,16 @@ def test_build_mesh_invariants():
             assert mesh.nodes[k - 1] == pytest.approx(q * mesh.nodes[k], rel=1e-14)
     with pytest.raises(ValueError):
         build_mesh(QScale(0.5, 1.0), 0)
+
+
+def test_build_mesh_underflow_limit():
+    # t_1 = 4^-537 = 2^-1074 is the smallest positive double; one more
+    # node would underflow to a repeated zero
+    mesh = build_mesh(QScale(0.25, 1.0), 538)
+    assert mesh.nodes[1] == 2.0 ** -1074
+    assert np.all(mesh.steps > 0.0)
+    with pytest.raises(ValueError, match=r"N=539 exceeds the limit N <= 538"):
+        build_mesh(QScale(0.25, 1.0), 539)
 
 
 def test_single_weight_identity():
@@ -237,3 +250,67 @@ def test_q_derivative_matches_step_slope_on_lattice():
         slope = (x(mesh.nodes[k]) - x(mesh.nodes[k - 1])) / mesh.steps[k - 1]
         assert q_derivative(x, float(mesh.nodes[k]), 0.5) == pytest.approx(
             slope, rel=1e-13)
+
+
+def _oracle_G(m, alpha, q):
+    return mp_shifted_real(1, mp.mpf(q) ** (m + 1), -alpha, q)
+
+
+def _oracle_S(n, alpha, q):
+    return mp_b1_telescoped(1, mp.mpf(q) ** (n - 1), alpha, q)
+
+
+def _digits(m, q):
+    # working precision that survives the cancellation in the oracles:
+    # G(m-1) - G(m) and the telescoped b_1 at t_1 = q^(n-1) both lose
+    # about m*log10(1/q) digits
+    return 45 + 2 * math.ceil((m + 1) * math.log10(1.0 / q))
+
+
+@pytest.mark.parametrize("q, alpha", [(0.25, 0.5), (2.0 / 3.0, 2.0 / 3.0),
+                                      (0.9, 0.3)])
+def test_weight_table_matches_oracle(q, alpha):
+    # G(m), D(m) = G(m-1) - G(m) and S(n) = t_n^alpha b_1(n) to 1e-13
+    # relative at distances up to 120, far past where q^m drops below
+    # the rounding of G(m) ~ 1
+    table = weight_table(q, alpha, 121)
+    for m in (1, 2, 5, 20, 75, 100, 120):
+        with mp.workdps(_digits(m, q)):
+            G, G_prev = _oracle_G(m, alpha, q), _oracle_G(m - 1, alpha, q)
+            S = _oracle_S(m + 1, alpha, q)
+            assert abs(table.G[m] - G) <= 1e-13 * G
+            assert abs(table.D[m] - (G_prev - G)) <= 1e-13 * (G_prev - G)
+            assert abs(table.S[m + 1] - S) <= 1e-13 * S
+    assert abs(table.G[0] - _oracle_G(0, alpha, q)) <= 1e-13 * table.G[0]
+    assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= 1e-14
+
+
+def test_history_weights_match_oracle_far_from_target():
+    # b_{k+1} - b_k at distance n - k up to 98; differencing the weights
+    # loses up to 1e-2 relative here, the closed form D does not
+    q = alpha = 2.0 / 3.0
+    mesh = build_mesh(QScale(q, 1.0), 100)
+    c = coefficients(mesh, 100, alpha)
+    lead, hist, init = rearranged_step_weights(c)
+    assert hist.shape == (99,) and np.all(hist > 0.0)
+    scale = mesh.nodes[100] ** (-alpha)
+    for k in (1, 2, 10, 25, 40, 50, 99):
+        m = 100 - k
+        with mp.workdps(_digits(m, q)):
+            if k == 1:
+                ref = _oracle_G(98, alpha, q) - _oracle_S(100, alpha, q)
+            else:
+                ref = _oracle_G(m - 1, alpha, q) - _oracle_G(m, alpha, q)
+            assert abs(hist[k - 1] - scale * ref) <= 1e-13 * scale * ref
+    assert lead == c.weights[-1] and init == c.weights[0]
+
+
+def test_coefficients_past_the_rounding_of_g():
+    # G(m) and S(n) round to 1 once q^m < eps, so far-apart weights
+    # compare equal in double precision, but the gaps stay positive
+    for q, N in [(0.25, 40), (2.0 / 3.0, 100), (0.9, 300)]:
+        mesh = build_mesh(QScale(q, 1.0), N)
+        c = coefficients(mesh, N, 2.0 / 3.0)
+        assert c.weights[0] >= mesh.nodes[N] ** (-2.0 / 3.0)
+        assert np.all(np.diff(c.weights) >= 0.0)
+        assert np.all(c.gaps > 0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfde import (
     FixedPointError,
@@ -226,3 +228,52 @@ def test_solver_config_validation():
         SolverConfig(start_perturbation=-1e-9)
     with pytest.raises(ValueError):
         IVProblem(f=lambda t, x: x, alpha=1.2, x0=np.array([1.0]))
+
+
+@pytest.mark.parametrize("q, N", [(0.25, 32), (2.0 / 3.0, 85), (0.9, 300),
+                                  (0.25, 538)])
+def test_manufactured_quadratic_large_N(q, N):
+    # past the N where the weight chain used to be rejected in rounding,
+    # up to the underflow limit of the mesh at q = 1/4 (t_1 = 2^-1074)
+    problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
+    trace = solve_ivp(problem, QScale(q, 1.0), N)
+    exact = trace.mesh.nodes ** 2 + 1.0
+    assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_stops_at_once(bad):
+    calls = []
+
+    def f(t, x):
+        calls.append(t)
+        return np.array([bad if t > 0.3 else 1.0])
+
+    problem = IVProblem(f=f, alpha=0.5, x0=np.array([1.0]))
+    with pytest.raises(FixedPointError, match=r"non-finite value at step n=5 "
+                                              r"\(t=0\.5\) on update 1") as info:
+        solve_ivp(problem, QScale(0.5, 1.0), 6)
+    err = info.value
+    assert err.step == 5
+    assert err.trace.states.shape == (5, 1)
+    assert np.all(np.isfinite(err.trace.states))
+    assert sum(t > 0.3 for t in calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(0.1, 0.95), alpha=st.floats(0.05, 0.95),
+       N=st.integers(1, 300))
+def test_manufactured_solutions_property(q, alpha, N):
+    # affine solutions are reproduced to rounding; quadratic ones stay
+    # under the a-priori error bound
+    scale = QScale(q, 1.0)
+    linear = make_problem("manufactured-linear", q=q, alpha=alpha)
+    trace = solve_ivp(linear, scale, N)
+    assert np.max(np.abs(trace.states[:, 0] - (1.0 + 2.0 * trace.mesh.nodes))) <= 1e-12
+    quadratic = make_problem("manufactured-quadratic", q=q, alpha=alpha)
+    trace = solve_ivp(quadratic, scale, N)
+    # the rate constants |e_n| / q^(2(N-n)) of the report divide by an
+    # underflowed power at large N; only the bound is checked here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = error_report(trace, quadratic, m2=1.0 + q, L1=0.0)
+    assert np.all(report.abs_err <= report.bound + 1e-12)
