@@ -32,6 +32,7 @@ from .solver import (
     SolveTrace,
     SolverConfig,
     error_report,
+    rate_constants,
     solve_ivp,
     stability_bound,
 )
@@ -224,8 +225,7 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
         errs = np.array([row[3] for row in record.rows])
         n_cut = int((1.0 - delta) * N)
         max_errs.append(float(np.max(errs[:n_cut])) if n_cut >= 1 else float("nan"))
-        rate_consts.append(float(max(
-            errs[n - 1] / spec.q ** (2 * (N - n)) for n in range(1, N + 1))))
+        rate_consts.append(float(np.max(rate_constants(errs, spec.q))))
 
     summary = {"N_list": list(N_list), "max_err": max_errs,
                "rate_constants": rate_consts, "delta": delta,

@@ -8,12 +8,20 @@ solve, step n solves the increment form
     hist_n = S(n) dx^1 + sum_{k=2}^{n-1} G(n-k) dx^k,
 
 for dx^n = x^n - x^{n-1}, with lead_1 = S(1) and lead_n = G(0) after.
-A nonlinear step solves it by Picard iteration.  The starting iterate
-is x^{n-1} nudged by a small relative perturbation: problems whose
-right-hand side vanishes at the initial value (the nonlinear registry
-problem does) make the constant continuation a spurious repelling fixed
-point, and starting exactly on it would freeze the iteration there.  The
-nudge is absorbed in one contraction step for regular Lipschitz problems.
+A nonlinear step solves the fixed-point equation x = g(x) =
+base + gain f(t_n, x) by Picard updates x <- g(x) with depth-1 Anderson
+mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): while the residuals
+r = g(x) - x shrink, the update is g(x_k) - gamma (g(x_k) - g(x_{k-1}))
+with gamma = <dr, r_k>/<dr, dr>, dr = r_k - r_{k-1}, which for d = 1 is
+the secant method on g(x) - x.  When a residual grows, the plain update
+is kept.  The starting iterate is x^{n-1} nudged by a small relative
+perturbation: problems whose right-hand side vanishes at the initial
+value (the nonlinear registry problem does) make the constant
+continuation a spurious repelling fixed point, and starting exactly on
+it would freeze the iteration there.  Near that point the residuals
+grow, so the plain updates carry the iterate away from it before any
+secant step could extrapolate back; for regular Lipschitz problems the
+nudge is absorbed in the first update.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share no mutable state and may run concurrently.
@@ -78,7 +86,7 @@ class SolveTrace:
 
     mesh: QMesh
     states: np.ndarray            # shape (N+1, d); states[0] = x0 exactly
-    fp_iterations: np.ndarray     # per-step Picard updates (confirming update excluded)
+    fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded)
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
     contraction_L1: Optional[float] = None
     fp_increment_history: list = field(default_factory=list)
@@ -102,7 +110,7 @@ def contraction_constant(L: float, alpha: float, scale: QScale,
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def _march(mesh: QMesh, alpha: float, states: np.ndarray, ctl: SeriesControl,
@@ -156,30 +164,38 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
 
     pert = config.start_perturbation
 
-    def picard(n, t_n, base, gain):
+    def fixed_point(n, t_n, base, gain):
         x = states[n - 1] * (1.0 + pert) + pert
         increments: list = []
         history.append(increments)
         for _ in range(config.max_fp_iters + 1):
-            x_new = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
-            inc = _norm(x_new - x)
+            gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
+            r = gx - x
+            inc = _norm(r)
             increments.append(inc)
             if not math.isfinite(inc):
                 trace.states = states[:n]
                 raise FixedPointError(
                     f"non-finite value at step n={n} (t={t_n:.6g}) on update "
                     f"{len(increments)}", step=n, trace=trace)
-            x = x_new
-            if inc <= config.fp_tol * (1.0 + _norm(x_new)):
+            if inc <= config.fp_tol * (1.0 + _norm(gx)):
                 iters[n - 1] = max(len(increments) - 1, 1)
                 residuals[n - 1] = inc
-                return x
+                return gx
+            x = gx
+            # depth-1 Anderson mixing, only while the residuals shrink
+            if len(increments) > 1 and inc < increments[-2]:
+                dr = r - r_prev
+                dr2 = dr @ dr
+                if dr2 > 0.0:
+                    x = gx - (dr @ r / dr2) * (gx - gx_prev)
+            r_prev, gx_prev = r, gx
         trace.states = states[:n]
         raise FixedPointError(
             f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
             f"converge within {config.max_fp_iters} updates", step=n, trace=trace)
 
-    _march(mesh, alpha, states, ctl, picard)
+    _march(mesh, alpha, states, ctl, fixed_point)
     return trace
 
 
@@ -244,5 +260,18 @@ def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
         m2 * mesh.steps[n - 1] ** 2
         / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
         for n in range(1, N + 1)])
-    rate = np.array([abs_err[n - 1] / q ** (2 * (N - n)) for n in range(1, N + 1)])
-    return ErrorReport(abs_err=abs_err, bound=bound, rate_constants=rate)
+    return ErrorReport(abs_err=abs_err, bound=bound,
+                       rate_constants=rate_constants(abs_err, q))
+
+
+def rate_constants(abs_err: np.ndarray, q: float) -> np.ndarray:
+    """|e_n| / q^(2(N-n)) for the errors e_1 .. e_N of an N-node solve.
+
+    Taken in log space: q^(2(N-n)) underflows (q = 1/8, N = 181) long
+    before the quotient leaves the double range.  An exact-zero error
+    gives 0 and a quotient past the double range gives inf.
+    """
+    abs_err = np.asarray(abs_err, dtype=float)
+    powers = 2.0 * np.arange(abs_err.size - 1, -1, -1)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(abs_err) - powers * math.log(q))

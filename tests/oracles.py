@@ -9,26 +9,34 @@ import mpmath as mp
 
 mp.mp.dps = 40
 
-_STOP = mp.mpf(10) ** -38
+
+def _stop():
+    """Cut for series and products: q^i below the working precision.
+
+    A fixed cut would leave a relative error of its size in differences
+    such as t^a - (t - s)^(a), however small s is, so it follows
+    ``mp.workdps``.
+    """
+    return mp.mpf(10) ** -(mp.mp.dps + 2)
 
 
 def mp_shifted_real(t, s, alpha, q, terms=3000):
     """(t - s)^(alpha) by straight partial products."""
     t, s, alpha, q = map(mp.mpf, (t, s, alpha, q))
-    prod = mp.mpf(1)
+    prod, stop = mp.mpf(1), _stop()
     for i in range(terms):
         prod *= (t - q ** i * s) / (t - q ** (alpha + i) * s)
-        if q ** i < _STOP:
+        if q ** i < stop:
             break
     return t ** alpha * prod
 
 
 def mp_qgamma(alpha, q, terms=3000):
     alpha, q = mp.mpf(alpha), mp.mpf(q)
-    prod = mp.mpf(1)
+    prod, stop = mp.mpf(1), _stop()
     for i in range(terms):
         prod *= (1 - q ** (i + 1)) / (1 - q ** (alpha + i))
-        if q ** i < _STOP:
+        if q ** i < stop:
             break
     return prod * (1 - q) ** (1 - alpha)
 
@@ -38,11 +46,11 @@ def mp_jackson0(f, x, q, terms=3000):
     x, q = mp.mpf(x), mp.mpf(q)
     if x == 0:
         return mp.mpf(0)
-    total = mp.mpf(0)
+    total, stop = mp.mpf(0), _stop()
     for n in range(terms):
         point = x * q ** n
         total += point * f(point)
-        if q ** n < _STOP:
+        if q ** n < stop:
             break
     return (1 - q) * total
 
@@ -68,10 +76,10 @@ def mp_caputo(f, alpha, t, q):
 def mp_b1(t_n, t_1, alpha, q, terms=3000):
     """First difference weight by brute-force series."""
     t_n, t_1, alpha, q = map(mp.mpf, (t_n, t_1, alpha, q))
-    total = mp.mpf(0)
+    total, stop = mp.mpf(0), _stop()
     for i in range(terms):
         total += q ** i * mp_shifted_real(t_n, q ** (i + 1) * t_1, -alpha, q, terms=600)
-        if q ** i < _STOP:
+        if q ** i < stop:
             break
     return (1 - q) * total
 

@@ -178,6 +178,12 @@ def test_run_convergence_degenerate_cases():
     _, summary = run_convergence(spec, [4, 6], delta=0.5)
     assert summary["all_exact"]
     assert summary["fitted_decay"] is None
+    # q^(2(N-n)) underflows at q = 1/8, N = 181; exact-zero errors give
+    # rate constant 0, not 0/0
+    spec = ProblemSpec(name="manufactured-quadratic", q=0.125, N=181, alpha=0.5)
+    _, summary = run_convergence(spec, [150, 181], delta=0.5)
+    assert summary["all_exact"]
+    assert np.all(np.isfinite(summary["rate_constants"]))
     with pytest.raises(ValueError):
         run_convergence(spec, [1, 4], delta=0.5)
     with pytest.raises(ValueError):

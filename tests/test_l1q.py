@@ -271,9 +271,9 @@ def _digits(m, q):
                                       (0.9, 0.3)])
 def test_weight_table_matches_oracle(q, alpha):
     # G(m), D(m) = G(m-1) - G(m) and S(n) = t_n^alpha b_1(n) to 1e-13
-    # relative at distances up to 120, far past where q^m drops below
-    # the rounding of G(m) ~ 1
-    table = weight_table(q, alpha, 121)
+    # relative at distances up to 120, and R(n) = G(n-2) - S(n) up to
+    # n = 200, far past where q^m drops below the rounding of G(m) ~ 1
+    table = weight_table(q, alpha, 201)
     for m in (1, 2, 5, 20, 75, 100, 120):
         with mp.workdps(_digits(m, q)):
             G, G_prev = _oracle_G(m, alpha, q), _oracle_G(m - 1, alpha, q)
@@ -281,6 +281,10 @@ def test_weight_table_matches_oracle(q, alpha):
             assert abs(table.G[m] - G) <= 1e-13 * G
             assert abs(table.D[m] - (G_prev - G)) <= 1e-13 * (G_prev - G)
             assert abs(table.S[m + 1] - S) <= 1e-13 * S
+    for n in (2, 30, 60, 101, 200):
+        with mp.workdps(_digits(n, q)):
+            R = _oracle_G(n - 2, alpha, q) - _oracle_S(n, alpha, q)
+            assert abs(table.R[n] - R) <= 1e-13 * R
     assert abs(table.G[0] - _oracle_G(0, alpha, q)) <= 1e-13 * table.G[0]
     assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= 1e-14
 

@@ -1,5 +1,8 @@
 """Unit tests for the implicit stepping scheme and its bound evaluators."""
 
+import sys
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,9 @@ from qfde import (
     stability_bound,
     truncation_bound,
 )
+from qfde.solver import rate_constants
+
+from oracles import mp_l1q_march
 
 
 def test_contraction_constant():
@@ -169,6 +175,28 @@ def test_error_report_rate_constants():
         assert report.rate_constants[n - 1] == pytest.approx(expect, rel=1e-13)
 
 
+def test_rate_constants_past_the_underflow_of_q_power():
+    # q^(2(N-n)) underflows to 0 at n = 1 for q = 1/8, N = 181; the
+    # quotient is 0 for an exact-zero error, inf past the double range
+    # and finite in between
+    q, N = 0.125, 181
+    problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
+    report = error_report(solve_ivp(problem, QScale(q, 1.0), N), problem,
+                          m2=1.0 + q, L1=0.0)
+    assert np.all(report.rate_constants[report.abs_err == 0.0] == 0.0)
+    assert np.all(np.isfinite(report.rate_constants))
+    errs = np.full(N, 1e-16)
+    errs[:4] = [5e-324, 0.0, 1e-300, 1.0]
+    got = rate_constants(errs, q)
+    for n in range(1, N + 1):
+        ref = mp.mpf(errs[n - 1]) / mp.mpf(q) ** (2 * (N - n))
+        if ref > sys.float_info.max:
+            assert got[n - 1] == np.inf
+        else:
+            assert abs(got[n - 1] - ref) <= 1e-12 * ref
+    assert got[1] == 0.0 and got[3] == np.inf
+
+
 def test_error_report_requires_exact():
     problem = IVProblem(f=lambda t, x: np.zeros(1), alpha=0.5,
                         x0=np.array([1.0]))
@@ -272,8 +300,36 @@ def test_manufactured_solutions_property(q, alpha, N):
     assert np.max(np.abs(trace.states[:, 0] - (1.0 + 2.0 * trace.mesh.nodes))) <= 1e-12
     quadratic = make_problem("manufactured-quadratic", q=q, alpha=alpha)
     trace = solve_ivp(quadratic, scale, N)
-    # the rate constants |e_n| / q^(2(N-n)) of the report divide by an
-    # underflowed power at large N; only the bound is checked here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        report = error_report(trace, quadratic, m2=1.0 + q, L1=0.0)
+    report = error_report(trace, quadratic, m2=1.0 + q, L1=0.0)
     assert np.all(report.abs_err <= report.bound + 1e-12)
+    assert not np.any(np.isnan(report.rate_constants))
+
+
+@pytest.mark.parametrize("q, alpha, L, N", [(0.7, 0.5, 1.5, 12),
+                                            (2.0 / 3.0, 2.0 / 3.0, 2.0, 12)])
+def test_accelerated_solve_matches_march_past_contraction(q, alpha, L, N):
+    # L1 = 2.5 and 4.8: the step map g contracts only near its root, where
+    # plain Picard updates need up to ~100 iterations or never settle;
+    # the mixed updates reach the 40-digit march in a few
+    problem = IVProblem(f=lambda t, x: L * np.sin(x) + t, alpha=alpha,
+                        x0=np.array([1.0]), lipschitz_L=L)
+    trace = solve_ivp(problem, QScale(q, 1.0), N)
+    _, ref = mp_l1q_march(q, alpha, N, lambda t, x: L * mp.sin(x) + t,
+                          1.0, 1e-8)
+    assert np.max(np.abs(trace.states[:, 0] - np.array(ref, dtype=float))) <= 1e-12
+
+
+@pytest.mark.parametrize("q, N, budget", [(2.0 / 3.0, 40, 300), (0.9, 100, 600)])
+def test_example2_update_count(q, N, budget):
+    # plain Picard needs 741 and 1230 updates here (g'(x*) = 2/3 at step 1)
+    trace = solve_ivp(make_problem("example2", q=q), QScale(q, 1.0), N)
+    assert int(np.sum(trace.fp_iterations)) <= budget
+
+
+def test_example2_large_N_keeps_nontrivial_branch():
+    # the mixed updates must not extrapolate back to the repelling root
+    # x = 1 that the start perturbation steps away from
+    q, N = 0.9, 260
+    trace = solve_ivp(make_problem("example2", q=q), QScale(q, 1.0), N)
+    exact = trace.mesh.nodes ** 2 + 1.0
+    assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-6
