@@ -2,7 +2,6 @@
 for nonlinear q-fractional initial value problems on geometric time scales.
 """
 
-from ._kernels import kernel_backend
 from .errors import (
     FixedPointError,
     MonotonicityError,
@@ -67,6 +66,6 @@ __all__ = [
     "truncation_bound", "weight_table",
     "solve_ivp", "solve_linear_history", "contraction_constant",
     "stability_bound", "error_report",
-    "make_problem", "problem_names", "kernel_backend",
+    "make_problem", "problem_names",
     "__version__",
 ]

@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import shifted_factorial_real as _shifted_real
-from .errors import NonConvergenceError, PoleError
+from .errors import NonConvergenceError, PoleError, SingularKernelError
 
 # Vector-valued functions are supported wherever f(t) appears; scalars
 # are the common case.
@@ -101,25 +100,56 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float,
 
     Nonnegative integer alpha routes to the exact finite product; other
     orders (including the negative ones used by the fractional kernels)
-    use the truncated infinite product ratio.
+    use the truncated product
+
+        t^alpha * prod_{i>=0} (t - q^i s)/(t - q^(alpha+i) s),
+
+    stopped at the first factor within rel_tol*(1-q) of 1.  Factors
+    approach 1 geometrically at rate q, so the dropped tail contributes a
+    relative error of order rel_tol.
     """
     _check_q(q)
+    for name, value in (("t", t), ("s", s), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"shifted factorial needs a finite {name}, got {name}={value}")
     if t <= 0.0:
         raise ValueError(f"shifted factorial needs t > 0, got t={t}")
     if not 0.0 <= s <= t:
         raise ValueError(f"shifted factorial needs 0 <= s <= t, got s={s}, t={t}")
     if alpha == math.floor(alpha) and alpha >= 0:
         return shifted_factorial_int(t, s, int(alpha), q)
-    return _shifted_real(t, s, alpha, q, ctl.rel_tol, ctl.max_terms)
+    band = ctl.rel_tol * (1.0 - q)
+    prod = 1.0
+    qi = 1.0            # q^i
+    qai = q ** alpha    # q^(alpha+i)
+    for _ in range(ctl.max_terms):
+        den = t - qai * s
+        if den == 0.0:
+            raise SingularKernelError(
+                f"(t-s)^(alpha) product factor denominator vanished "
+                f"(t={t!r}, s={s!r}, alpha={alpha!r}, q={q!r})")
+        factor = (t - qi * s) / den
+        prod *= factor
+        if -band < factor - 1.0 < band:
+            return t ** alpha * prod
+        qi *= q
+        qai *= q
+    raise NonConvergenceError(
+        f"shifted factorial product did not settle within {ctl.max_terms} factors")
 
 
 def q_gamma(alpha: float, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """q-gamma function, Gamma_q(alpha) = (1 - q)^(alpha-1) * (1 - q)^(1-alpha).
 
-    The shifted factorial is read with t = 1, s = q, which makes
-    Gamma_q(n+1) = [n]_q! hold exactly for integer n (checked in tests).
+    The first factor is the q-shifted factorial (t - s)^(alpha-1) read with
+    t = 1, s = q, i.e. (q; q)_inf / (q^alpha; q)_inf; the second is an
+    ordinary power.  This reading makes Gamma_q(n+1) = [n]_q! hold exactly
+    for integer n (checked in tests).
     """
     _check_q(q)
+    if not math.isfinite(alpha):
+        raise ValueError(f"q-gamma needs a finite alpha, got alpha={alpha}")
     if alpha == math.floor(alpha) and alpha <= 0.0:
         raise PoleError(f"q-gamma has a pole at alpha={alpha}")
     return shifted_factorial_real(1.0, q, alpha - 1.0, q, ctl) * (1.0 - q) ** (1.0 - alpha)

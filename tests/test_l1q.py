@@ -21,6 +21,7 @@ from qfde import (
     truncation_bound,
     weight_table,
 )
+from qfde._kernels import b1_weight
 
 from oracles import mp_b1, mp_b1_telescoped, mp_shifted_real
 
@@ -287,6 +288,17 @@ def test_weight_table_matches_oracle(q, alpha):
             assert abs(table.R[n] - R) <= 1e-13 * R
     assert abs(table.G[0] - _oracle_G(0, alpha, q)) <= 1e-13 * table.G[0]
     assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("q, alpha, n", [(0.25, 0.5, 7), (2.0 / 3.0, 2.0 / 3.0, 30),
+                                         (0.9, 0.3, 60), (0.9, 0.9, 1)])
+def test_b1_series_matches_weight_table(q, alpha, n):
+    # the Jackson series kept in qfde._kernels against the live S(n)
+    t_n = 0.7
+    t_1 = t_n * q ** (n - 1)
+    series = b1_weight(t_n, t_1, alpha, q, 1e-14, 10_000)
+    table = t_n ** -alpha * weight_table(q, alpha, n).S[n]
+    assert abs(series - table) <= 5e-13 * table
 
 
 def test_history_weights_match_oracle_far_from_target():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from qfde import (
     PoleError,
     QScale,
     SeriesControl,
+    SingularKernelError,
     q_beta,
     q_bracket,
     q_derivative,
@@ -89,6 +91,29 @@ def test_shifted_factorial_real_domain():
     with pytest.raises(NonConvergenceError):
         shifted_factorial_real(1.0, 0.9, -0.5, 0.9,
                                SeriesControl(rel_tol=1e-14, max_terms=3))
+    # alpha = -2 puts q^(alpha+i) through 1 exactly at i=2, so with s = t
+    # the denominator t - s vanishes
+    with pytest.raises(SingularKernelError):
+        shifted_factorial_real(1.0, 1.0, -2.0, 0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        for name, args in (("alpha", (1.0, 0.5, bad)), ("t", (bad, 0.5, -0.5)),
+                           ("s", (1.0, bad, -0.5))):
+            with pytest.raises(ValueError, match=f"finite {name}"):
+                shifted_factorial_real(*args, 0.5)
+        with pytest.raises(ValueError, match="finite alpha"):
+            q_gamma(bad, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.05, 3.0), j=st.integers(1, 60), q=st.floats(0.15, 0.95),
+       alpha=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).filter(
+           lambda a: abs(a) >= 1e-3))
+def test_shifted_factorial_real_matches_oracle_on_lattice(t, j, q, alpha):
+    # the lattice arguments s = t q^j of the fractional operators
+    s = t * q ** j
+    with mp.workdps(40):
+        ref = float(mp_shifted_real(t, s, alpha, q))
+    assert abs(shifted_factorial_real(t, s, alpha, q) - ref) <= 1e-12 * abs(ref)
 
 
 def test_q_gamma_values():
