@@ -347,7 +347,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--b", type=float, default=1.0, help="horizon (default 1)")
         p.add_argument("--fp-tol", type=float, default=1e-13)
         p.add_argument("--max-iters", type=int, default=200)
-        p.add_argument("--perturb", type=float, default=1e-8)
+        p.add_argument("--perturb", type=float, default=1e-8,
+                       help="relative nudge of the previous state that starts "
+                            "step 1, components at rest, and the re-solve of a "
+                            "step that fails from the predicted start (its "
+                            "fp_iters then count both attempts; default 1e-8)")
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="run the implicit scheme once")

@@ -266,6 +266,9 @@ def q_beta(alpha: float, beta: float, q: float,
     Thin convenience over the q-integral and the shifted factorial; it
     agrees with Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
     """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"q-beta needs a finite {name}, got {name}={value}")
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError(f"q-beta needs alpha, beta > 0, got {alpha}, {beta}")
 

@@ -14,14 +14,30 @@ mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): while the residuals
 r = g(x) - x shrink, the update is g(x_k) - gamma (g(x_k) - g(x_{k-1}))
 with gamma = <dr, r_k>/<dr, dr>, dr = r_k - r_{k-1}, which for d = 1 is
 the secant method on g(x) - x.  When a residual grows, the plain update
-is kept.  The starting iterate is x^{n-1} nudged by a small relative
-perturbation: problems whose right-hand side vanishes at the initial
-value (the nonlinear registry problem does) make the constant
-continuation a spurious repelling fixed point, and starting exactly on
-it would freeze the iteration there.  Near that point the residuals
-grow, so the plain updates carry the iterate away from it before any
-secant step could extrapolate back; for regular Lipschitz problems the
-nudge is absorbed in the first update.
+is kept.
+
+Step n > 1 starts from the extrapolation of the last states to t_n (a
+predictor-corrector start, Diethelm, Ford & Freed, Nonlinear Dyn. 29,
+2002): the quadratic through x^{n-3}, x^{n-2}, x^{n-1}, through
+t_0 = 0 at n = 3, and the line through (0, x^0), (t_1, x^1) at n = 2.
+Since t_{n-k} = t_n q^k, its weights depend on q alone and are built once
+per solve, never from the nodes, which underflow near t_1.  Step 1, and
+every component whose last increment dx^{n-1} is exactly zero, start
+instead from x^{n-1} nudged by a small relative perturbation: problems
+whose right-hand side vanishes at the initial value (the nonlinear
+registry problem does) make the constant continuation a spurious
+repelling fixed point, and starting exactly on it, where the prediction
+of a resting component lands, would freeze the iteration there.  Near
+that point the residuals grow, so the plain updates carry the iterate
+away from it before any secant step could extrapolate back; for regular
+Lipschitz problems the nudge is absorbed in the first update.
+
+A step that fails from the prediction, by exhausting max_fp_iters or
+meeting a non-finite value after its first update, is solved once more
+from the nudged start before :class:`FixedPointError` is raised; its
+fp_iterations and fp_increment_history then count the updates of both
+attempts.  A right-hand side that is non-finite at the start itself
+stops the solve at once.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share no mutable state and may run concurrently.
@@ -67,6 +83,9 @@ class SolverConfig:
 
     fp_tol: float = 1e-13
     max_fp_iters: int = 200
+    # Relative nudge of x^{n-1} that starts step 1, every component whose
+    # last increment is exactly zero, and the re-solve of a step that
+    # fails from the predicted start.
     start_perturbation: float = 1e-8
     series: SeriesControl = field(default_factory=SeriesControl)
 
@@ -86,7 +105,8 @@ class SolveTrace:
 
     mesh: QMesh
     states: np.ndarray            # shape (N+1, d); states[0] = x0 exactly
-    fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded)
+    fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded;
+                                  # both attempts when the step falls back to the nudged start)
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
     contraction_L1: Optional[float] = None
     fp_increment_history: list = field(default_factory=list)
@@ -110,7 +130,16 @@ def contraction_constant(L: float, alpha: float, scale: QScale,
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.abs(v).max())
+    """Max-norm of a 1-d array, not finite if any component is not.
+
+    Python floats beat a numpy reduction on the few components of a
+    state.  The plain max would skip a NaN after the first component,
+    but the sum of the components is NaN exactly when one of them is NaN
+    or +inf and -inf both occur, and that NaN is returned.
+    """
+    values = v.tolist()
+    total = sum(values)
+    return total if total != total else max(map(abs, values))
 
 
 def _march(mesh: QMesh, alpha: float, states: np.ndarray, ctl: SeriesControl,
@@ -140,8 +169,9 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
               config: SolverConfig = SolverConfig()) -> SolveTrace:
     """March the implicit scheme over the N-node geometric mesh.
 
-    Raises :class:`FixedPointError` (carrying the partial trace) if any
-    step exhausts max_fp_iters or meets a non-finite value.
+    Raises :class:`FixedPointError` (carrying the partial trace) if a
+    step exhausts max_fp_iters or meets a non-finite value from every
+    start it tries (see the module docstring).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -163,37 +193,62 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                        fp_increment_history=history)
 
     pert = config.start_perturbation
+    q = scale.q
+    c = 1.0 + q + q * q
+    # Extrapolation weights to t_n from the last three states (two at
+    # n = 2, through t_0 = 0 at n <= 3); they depend on q alone because
+    # t_{n-k} = t_n q^k.
+    extrapolation = (None, None,
+                     np.array([-(1.0 - q) / q, 1.0 / q]),
+                     np.array([(1.0 - q) * (1.0 - q * q) / q ** 3,
+                               -1.0 / q ** 3, (1.0 + q) / q ** 2]),
+                     np.array([q ** -3, -c / q ** 3, c / q ** 2]))
+
+    def starts(n):
+        """Start iterates of step n: the prediction, then the nudged state."""
+        prev = states[n - 1]
+        if n > 1:
+            moved = (prev - states[n - 2]).tolist()
+            if any(moved):
+                x = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
+                yield x if all(moved) else np.where(
+                    np.array(moved) != 0.0, x, prev * (1.0 + pert) + pert)
+        yield prev * (1.0 + pert) + pert
 
     def fixed_point(n, t_n, base, gain):
-        x = states[n - 1] * (1.0 + pert) + pert
         increments: list = []
         history.append(increments)
-        for _ in range(config.max_fp_iters + 1):
-            gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
-            r = gx - x
-            inc = _norm(r)
-            increments.append(inc)
-            if not math.isfinite(inc):
-                trace.states = states[:n]
-                raise FixedPointError(
-                    f"non-finite value at step n={n} (t={t_n:.6g}) on update "
-                    f"{len(increments)}", step=n, trace=trace)
-            if inc <= config.fp_tol * (1.0 + _norm(gx)):
-                iters[n - 1] = max(len(increments) - 1, 1)
-                residuals[n - 1] = inc
-                return gx
-            x = gx
-            # depth-1 Anderson mixing, only while the residuals shrink
-            if len(increments) > 1 and inc < increments[-2]:
-                dr = r - r_prev
-                dr2 = dr @ dr
-                if dr2 > 0.0:
-                    x = gx - (dr @ r / dr2) * (gx - gx_prev)
-            r_prev, gx_prev = r, gx
+        for x in starts(n):
+            for k in range(config.max_fp_iters + 1):
+                gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
+                r = gx - x
+                inc = _norm(r)
+                increments.append(inc)
+                if not math.isfinite(inc):
+                    failure = (f"non-finite value at step n={n} (t={t_n:.6g}) "
+                               f"on update {len(increments)}")
+                    break
+                if inc <= config.fp_tol * (1.0 + _norm(gx)):
+                    iters[n - 1] = max(len(increments) - 1, 1)
+                    residuals[n - 1] = inc
+                    return gx
+                x = gx
+                # depth-1 Anderson mixing, only while the residuals shrink
+                if k > 0 and inc < increments[-2]:
+                    dr = r - r_prev
+                    dr2 = dr @ dr
+                    if dr2 > 0.0:
+                        x = gx - (dr @ r / dr2) * (gx - gx_prev)
+                r_prev, gx_prev = r, gx
+            else:
+                failure = (f"fixed-point iteration at step n={n} (t={t_n:.6g}) "
+                           f"did not converge within {config.max_fp_iters} updates")
+                continue
+            if k == 0:
+                break   # non-finite at the start itself: stop at once
+            # non-finite after the first update: try the next start
         trace.states = states[:n]
-        raise FixedPointError(
-            f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
-            f"converge within {config.max_fp_iters} updates", step=n, trace=trace)
+        raise FixedPointError(failure, step=n, trace=trace)
 
     _march(mesh, alpha, states, ctl, fixed_point)
     return trace

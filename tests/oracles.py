@@ -108,6 +108,19 @@ def mp_closed_b1(t_n, t_1, alpha, q):
     return mp_shifted_real(t_n, mp.mpf(q) * t_1, -alpha, q)
 
 
+def _l1q_step(t, xs, n, alpha, q, b1):
+    """The known part and the lead weight of step n of the L1,q scheme.
+
+    Step n reads  b_n x^n = known + Gamma_q(1-alpha) f(t_n, x^n)  with
+    known = b_1 x^0 + sum_{k<n} (b_{k+1} - b_k) x^k, b_k = (t_n - q t_k)^(-alpha)
+    for k >= 2 and b_1 from ``b1(t_n, t_1, alpha, q)``.
+    """
+    w = [b1(t[n], t[1], alpha, q)]
+    w += [mp_shifted_real(t[n], q * t[k], -alpha, q) for k in range(2, n + 1)]
+    known = w[0] * xs[0] + sum((w[k] - w[k - 1]) * xs[k] for k in range(1, n))
+    return known, w[-1]
+
+
 def mp_l1q_march(q, alpha, N, f, x0, perturbation, b1=mp_b1_telescoped):
     """March the implicit L1,q scheme on t_k = q^(N-k) at 40 digits.
 
@@ -128,12 +141,10 @@ def mp_l1q_march(q, alpha, N, f, x0, perturbation, b1=mp_b1_telescoped):
     tol = mp.mpf(10) ** -35
     xs = [mp.mpf(x0)]
     for n in range(1, N + 1):
-        w = [b1(t[n], t[1], alpha, q)]
-        w += [mp_shifted_real(t[n], q * t[k], -alpha, q) for k in range(2, n + 1)]
-        known = w[0] * xs[0] + sum((w[k] - w[k - 1]) * xs[k] for k in range(1, n))
+        known, lead = _l1q_step(t, xs, n, alpha, q, b1)
         x = xs[-1] * (1 + pert) + pert
         for _ in range(2000):
-            x_new = (known + gamma * f(t[n], x)) / w[-1]
+            x_new = (known + gamma * f(t[n], x)) / lead
             done = abs(x_new - x) <= tol * (1 + abs(x_new))
             x = x_new
             if done:
@@ -142,3 +153,24 @@ def mp_l1q_march(q, alpha, N, f, x0, perturbation, b1=mp_b1_telescoped):
             raise ArithmeticError(f"Picard iteration stalled at step n={n}")
         xs.append(x)
     return t, xs
+
+
+def mp_l1q_residuals(q, alpha, f, states, b1=mp_b1_telescoped):
+    """How far given states are from solving each step of the scheme.
+
+    For states x^0 .. x^N on t_k = q^(N-k) (scalars, taken as exact),
+    returns |x^n - (known + Gamma_q(1-alpha) f(t_n, x^n)) / b_n| for
+    n = 1 .. N, with the weights of :func:`mp_l1q_march`.  Unlike the
+    march, this needs no iteration, so it checks a step whose map does
+    not contract.
+    """
+    q, alpha = mp.mpf(q), mp.mpf(alpha)
+    xs = [mp.mpf(x) for x in states]
+    N = len(xs) - 1
+    t = [mp.mpf(0)] + [q ** (N - k) for k in range(1, N + 1)]
+    gamma = mp_qgamma(1 - alpha, q)
+    residuals = []
+    for n in range(1, N + 1):
+        known, lead = _l1q_step(t, xs, n, alpha, q, b1)
+        residuals.append(abs(xs[n] - (known + gamma * f(t[n], xs[n])) / lead))
+    return residuals

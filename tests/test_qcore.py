@@ -218,6 +218,16 @@ def test_q_beta_gamma_identity():
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
+def test_q_beta_rejects_non_finite_orders():
+    # inf used to return 1.1116 and nan to run 10,000 terms into
+    # NonConvergenceError
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite alpha"):
+            q_beta(bad, 0.5, 0.5)
+        with pytest.raises(ValueError, match="finite beta"):
+            q_beta(0.5, bad, 0.5)
+
+
 def test_integration_by_parts_both_forms():
     # for polynomial pairs: int_a^b g D_qf = (fg)(b)-(fg)(a) - int_a^b f(qt) D_qg
     # and the twin with the roles of the q-shift swapped

@@ -26,7 +26,7 @@ from qfde import (
 )
 from qfde.solver import rate_constants
 
-from oracles import mp_l1q_march
+from oracles import mp_l1q_march, mp_l1q_residuals
 
 
 def test_contraction_constant():
@@ -269,21 +269,24 @@ def test_manufactured_quadratic_large_N(q, N):
     assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-13
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_rhs_stops_at_once(bad):
+@pytest.mark.parametrize("bad, d", [pytest.param(np.nan, 1, id="nan"),
+                                    pytest.param(np.inf, 1, id="inf"),
+                                    pytest.param(np.nan, 3, id="nan-last-of-3")])
+def test_non_finite_rhs_stops_at_once(bad, d):
+    # a NaN in the last component must not hide behind the max-norm
     calls = []
 
     def f(t, x):
         calls.append(t)
-        return np.array([bad if t > 0.3 else 1.0])
+        return np.array([1.0] * (d - 1) + [bad if t > 0.3 else 1.0])
 
-    problem = IVProblem(f=f, alpha=0.5, x0=np.array([1.0]))
+    problem = IVProblem(f=f, alpha=0.5, x0=np.ones(d))
     with pytest.raises(FixedPointError, match=r"non-finite value at step n=5 "
                                               r"\(t=0\.5\) on update 1") as info:
         solve_ivp(problem, QScale(0.5, 1.0), 6)
     err = info.value
     assert err.step == 5
-    assert err.trace.states.shape == (5, 1)
+    assert err.trace.states.shape == (5, d)
     assert np.all(np.isfinite(err.trace.states))
     assert sum(t > 0.3 for t in calls) == 1
 
@@ -319,9 +322,12 @@ def test_accelerated_solve_matches_march_past_contraction(q, alpha, L, N):
     assert np.max(np.abs(trace.states[:, 0] - np.array(ref, dtype=float))) <= 1e-12
 
 
-@pytest.mark.parametrize("q, N, budget", [(2.0 / 3.0, 40, 300), (0.9, 100, 600)])
+@pytest.mark.parametrize("q, N, budget", [(2.0 / 3.0, 40, 300), (0.9, 100, 600),
+                                         (2.0 / 3.0, 40, 100)])
 def test_example2_update_count(q, N, budget):
-    # plain Picard needs 741 and 1230 updates here (g'(x*) = 2/3 at step 1)
+    # plain Picard needs 741 and 1230 updates here (g'(x*) = 2/3 at step 1);
+    # Anderson mixing from the nudged previous state 207 and 410, and the
+    # predicted start brings q = 2/3 within the third budget
     trace = solve_ivp(make_problem("example2", q=q), QScale(q, 1.0), N)
     assert int(np.sum(trace.fp_iterations)) <= budget
 
@@ -333,3 +339,53 @@ def test_example2_large_N_keeps_nontrivial_branch():
     trace = solve_ivp(make_problem("example2", q=q), QScale(q, 1.0), N)
     exact = trace.mesh.nodes ** 2 + 1.0
     assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-6
+
+
+def test_fallback_start_solves_where_the_prediction_fails():
+    # L1 = 1.96: from the extrapolated start the last step cycles through
+    # its whole update budget; the re-solve from the nudged previous state
+    # converges, and fp_iterations counts the updates of both attempts.
+    # mp_l1q_march cannot serve as the oracle: its plain Picard iteration
+    # stalls at n = 40, so every step's equation is checked instead.
+    q, alpha, L, N = 0.125, 0.5, 1.5, 40
+    problem = IVProblem(f=lambda t, x: L * np.sin(x) + t, alpha=alpha,
+                        x0=np.array([1.0]), lipschitz_L=L)
+    config = SolverConfig()
+    trace = solve_ivp(problem, QScale(q, 1.0), N, config)
+    assert trace.contraction_L1 == pytest.approx(1.96, abs=5e-3)
+    assert trace.fp_iterations[-1] > config.max_fp_iters
+    residuals = mp_l1q_residuals(q, alpha, lambda t, x: L * mp.sin(x) + t,
+                                 trace.states[:, 0])
+    assert max(residuals) <= 1e-12
+
+
+def test_damped_vector_solve_about_one_update_per_step():
+    # the warm benchmark's smooth case: the prediction is within rounding
+    # of the step's solution, so one update almost always confirms it
+    q, N, d = 0.9, 260, 8
+    base = make_problem("manufactured-quadratic", q=q, alpha=2.0 / 3.0)
+    lam = np.random.default_rng(5).random(d)
+    problem = IVProblem(f=lambda t, x: base.f(t, x) - lam * (x - base.exact(t)),
+                        alpha=2.0 / 3.0, x0=np.ones(d), exact=base.exact)
+    trace = solve_ivp(problem, QScale(q, 1.0), N)
+    assert np.sum(trace.fp_iterations) <= 1.3 * N
+    assert np.max(np.abs(trace.states - (trace.mesh.nodes ** 2 + 1.0)[:, None])) <= 1e-13
+
+
+def test_resting_component_keeps_the_nudged_start():
+    # component 0 has example2's right-hand side, switched on after t_4:
+    # until then it rests exactly on the repelling root x = 1, so its
+    # prediction would be that root.  Started from the nudged state it
+    # leaves the root, while the moving component 1 is predicted.
+    q, alpha = 0.5, 2.0 / 3.0
+    c0 = (1.0 + q) / q_gamma(7.0 / 3.0, q)
+    c1 = 2.0 / q_gamma(2.0 - alpha, q)
+
+    def f(t, x):
+        return np.array([c0 * np.cbrt(x[0] - 1.0) ** 2 if t > 0.1 else 0.0,
+                         c1 * t ** (1.0 - alpha)])
+
+    trace = solve_ivp(IVProblem(f=f, alpha=alpha, x0=np.ones(2)), QScale(q, 1.0), 8)
+    assert np.all(trace.states[:5, 0] == 1.0)
+    assert np.all(np.diff(trace.states[4:, 0]) > 1e-3)
+    assert np.max(np.abs(trace.states[:, 1] - (1.0 + 2.0 * trace.mesh.nodes))) <= 1e-12
