@@ -32,12 +32,13 @@ that point the residuals grow, so the plain updates carry the iterate
 away from it before any secant step could extrapolate back; for regular
 Lipschitz problems the nudge is absorbed in the first update.
 
-A step that fails from the prediction, by exhausting max_fp_iters or
-meeting a non-finite value after its first update, is solved once more
-from the nudged start before :class:`FixedPointError` is raised; its
+A step that fails from the prediction, by exhausting max_fp_iters,
+meeting a non-finite value or an ArithmeticError or ValueError raised by
+f (a prediction may leave f's domain), is solved once more from the
+nudged start before :class:`FixedPointError` is raised; its
 fp_iterations and fp_increment_history then count the updates of both
-attempts.  A right-hand side that is non-finite at the start itself
-stops the solve at once.
+attempts.  A non-finite value stops an attempt at once, so a right-hand
+side that is non-finite at t_n costs one call per start.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share no mutable state and may run concurrently.
@@ -170,8 +171,9 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
     """March the implicit scheme over the N-node geometric mesh.
 
     Raises :class:`FixedPointError` (carrying the partial trace) if a
-    step exhausts max_fp_iters or meets a non-finite value from every
-    start it tries (see the module docstring).
+    step exhausts max_fp_iters or meets a non-finite value from the
+    nudged start, tried after any failure of the predicted one (see the
+    module docstring).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -204,51 +206,55 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                                -1.0 / q ** 3, (1.0 + q) / q ** 2]),
                      np.array([q ** -3, -c / q ** 3, c / q ** 2]))
 
-    def starts(n):
-        """Start iterates of step n: the prediction, then the nudged state."""
-        prev = states[n - 1]
-        if n > 1:
-            moved = (prev - states[n - 2]).tolist()
-            if any(moved):
-                x = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
-                yield x if all(moved) else np.where(
-                    np.array(moved) != 0.0, x, prev * (1.0 + pert) + pert)
-        yield prev * (1.0 + pert) + pert
+    def attempt(n, t_n, base, gain, x, increments, start):
+        """Update from x until converged; return (g(x), None) or (None, failure)."""
+        for k in range(config.max_fp_iters + 1):
+            gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
+            r = gx - x
+            inc = _norm(r)
+            increments.append(inc)
+            if not math.isfinite(inc):
+                return None, (f"non-finite value at step n={n} (t={t_n:.6g}) "
+                              f"on update {k + 1} from the {start} start")
+            if inc <= config.fp_tol * (1.0 + _norm(gx)):
+                return gx, None
+            x = gx
+            # depth-1 Anderson mixing, only while the residuals shrink
+            if k > 0 and inc < increments[-2]:
+                dr = r - r_prev
+                dr2 = dr @ dr
+                if dr2 > 0.0:
+                    x = gx - (dr @ r / dr2) * (gx - gx_prev)
+            r_prev, gx_prev = r, gx
+        return None, (f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
+                      f"converge within {config.max_fp_iters} updates from the "
+                      f"{start} start")
 
     def fixed_point(n, t_n, base, gain):
         increments: list = []
         history.append(increments)
-        for x in starts(n):
-            for k in range(config.max_fp_iters + 1):
-                gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
-                r = gx - x
-                inc = _norm(r)
-                increments.append(inc)
-                if not math.isfinite(inc):
-                    failure = (f"non-finite value at step n={n} (t={t_n:.6g}) "
-                               f"on update {len(increments)}")
-                    break
-                if inc <= config.fp_tol * (1.0 + _norm(gx)):
-                    iters[n - 1] = max(len(increments) - 1, 1)
-                    residuals[n - 1] = inc
-                    return gx
-                x = gx
-                # depth-1 Anderson mixing, only while the residuals shrink
-                if k > 0 and inc < increments[-2]:
-                    dr = r - r_prev
-                    dr2 = dr @ dr
-                    if dr2 > 0.0:
-                        x = gx - (dr @ r / dr2) * (gx - gx_prev)
-                r_prev, gx_prev = r, gx
-            else:
-                failure = (f"fixed-point iteration at step n={n} (t={t_n:.6g}) "
-                           f"did not converge within {config.max_fp_iters} updates")
-                continue
-            if k == 0:
-                break   # non-finite at the start itself: stop at once
-            # non-finite after the first update: try the next start
-        trace.states = states[:n]
-        raise FixedPointError(failure, step=n, trace=trace)
+        prev = states[n - 1]
+        nudged = prev * (1.0 + pert) + pert
+        x, after = None, ""
+        if n > 1:
+            moved = prev != states[n - 2]
+            if moved.any():
+                predicted = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
+                if not moved.all():
+                    predicted = np.where(moved, predicted, nudged)
+                after = ", after the predicted start failed"
+                try:
+                    x, _ = attempt(n, t_n, base, gain, predicted, increments, "predicted")
+                except (ArithmeticError, ValueError):
+                    pass    # f raised outside its domain, as math.sqrt does
+        if x is None:
+            x, failure = attempt(n, t_n, base, gain, nudged, increments, "nudged")
+            if x is None:
+                trace.states = states[:n]
+                raise FixedPointError(failure + after, step=n, trace=trace)
+        iters[n - 1] = max(len(increments) - 1, 1)
+        residuals[n - 1] = increments[-1]
+        return x
 
     _march(mesh, alpha, states, ctl, fixed_point)
     return trace

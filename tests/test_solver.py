@@ -1,5 +1,6 @@
 """Unit tests for the implicit stepping scheme and its bound evaluators."""
 
+import math
 import sys
 
 import mpmath as mp
@@ -288,7 +289,8 @@ def test_non_finite_rhs_stops_at_once(bad, d):
     assert err.step == 5
     assert err.trace.states.shape == (5, d)
     assert np.all(np.isfinite(err.trace.states))
-    assert sum(t > 0.3 for t in calls) == 1
+    # one call from the predicted start, one from the nudged retry
+    assert sum(t > 0.3 for t in calls) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,3 +391,19 @@ def test_resting_component_keeps_the_nudged_start():
     assert np.all(trace.states[:5, 0] == 1.0)
     assert np.all(np.diff(trace.states[4:, 0]) > 1e-3)
     assert np.max(np.abs(trace.states[:, 1] - (1.0 + 2.0 * trace.mesh.nodes))) <= 1e-12
+
+
+@pytest.mark.parametrize("sqrt", [pytest.param(np.sqrt, id="nan"),
+                                  pytest.param(np.vectorize(math.sqrt), id="raises")])
+@pytest.mark.parametrize("N", [4, 40])
+def test_prediction_outside_the_domain_falls_back(sqrt, N):
+    # on the t^alpha-like rise of f = sqrt(x)/2 the q = 1/8 weights
+    # (512, -584, 73) predict about 1 - 25 sqrt(t_n) at the last steps,
+    # below zero, where np.sqrt gives NaN and math.sqrt raises; the
+    # nudged start converges there as it does without a prediction
+    q, alpha = 0.125, 0.5
+    problem = IVProblem(f=lambda t, x: 0.5 * sqrt(x), alpha=alpha, x0=np.array([1.0]))
+    with np.errstate(invalid="ignore"):
+        trace = solve_ivp(problem, QScale(q, 1.0), N)
+    _, ref = mp_l1q_march(q, alpha, N, lambda t, x: mp.sqrt(x) / 2, 1.0, 1e-8)
+    assert np.max(np.abs(trace.states[:, 0] - np.array(ref, dtype=float))) <= 1e-12
