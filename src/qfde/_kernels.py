@@ -10,7 +10,7 @@ entry at the next change to the benchmark.
 import sys
 
 from .errors import NonConvergenceError
-from .qcore import SeriesControl, shifted_factorial_real
+from .qcore import shifted_factorial_real
 
 _TINY = sys.float_info.min
 
@@ -20,15 +20,15 @@ def b1_weight(t_n, t_1, alpha, q, rel_tol, max_terms):
 
     The first subinterval starts at 0, so, unlike the later weights, b_1
     has no closed form and keeps the full Jackson series.  Terms decay at
-    rate q; stop after three consecutive terms below tolerance.
+    rate q; stop after three consecutive terms below rel_tol.  Each term
+    is a product truncated by :mod:`qfde.qcore`'s own budget.
     """
-    ctl = SeriesControl(rel_tol, max_terms)
     total = 0.0
     qi = 1.0
     s = q * t_1
     small = 0
     for _ in range(max_terms):
-        term = qi * shifted_factorial_real(t_n, s, -alpha, q, ctl)
+        term = qi * shifted_factorial_real(t_n, s, -alpha, q)
         total += term
         if term < rel_tol * (total + _TINY):
             small += 1

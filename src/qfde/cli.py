@@ -18,7 +18,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FixedPointError, QCalculusError
 from .problems import default_alpha, make_problem, problem_names
-from .qcore import QScale, SeriesControl, q_derivative_n
+from .qcore import QScale, q_derivative_n
 from .solver import (
     IVProblem,
     SolveTrace,
@@ -52,9 +52,9 @@ class ProblemSpec:
     b: float = 1.0
     N: int = 10
     alpha: Optional[float] = None
-    fp_tol: float = 1e-13
-    max_iters: int = 200
-    perturb: float = 1e-8
+    fp_tol: float = SolverConfig.fp_tol
+    max_iters: int = SolverConfig.max_fp_iters
+    perturb: float = SolverConfig.start_perturbation
     fmt: str = "table"
     out: Optional[str] = None
 
@@ -106,8 +106,7 @@ def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
         if problem.exact is not None:
             x_exact = float(np.atleast_1d(problem.exact(t_n))[0])
             abs_err = abs(x_exact - x_num)
-        fp = int(trace.fp_iterations[n - 1]) if n - 1 < len(trace.fp_iterations) else 0
-        rows.append((t_n, x_num, x_exact, abs_err, fp))
+        rows.append((t_n, x_num, x_exact, abs_err, int(trace.fp_iterations[n - 1])))
     meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
             "N": spec.N, "b": spec.b, "config": _config_hash(spec),
             "wall_time_s": wall}
@@ -217,10 +216,7 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
     max_errs = []
     rate_consts = []
     for N in N_list:
-        run = ProblemSpec(name=spec.name, q=spec.q, b=spec.b, N=N,
-                          alpha=spec.alpha, fp_tol=spec.fp_tol,
-                          max_iters=spec.max_iters, perturb=spec.perturb)
-        record = run_solve(run)
+        record = run_solve(replace(spec, N=N))
         records.append(record)
         errs = np.array([row[3] for row in record.rows])
         n_cut = int((1.0 - delta) * N)
@@ -259,12 +255,11 @@ def emit_convergence(summary, stream) -> None:
 # ---------------------------------------------------------------------------
 # bound checks
 
-def estimate_m2(problem: IVProblem, mesh_nodes: np.ndarray, q: float,
-                ctl: SeriesControl = SeriesControl()) -> float:
+def estimate_m2(problem: IVProblem, mesh_nodes: np.ndarray, q: float) -> float:
     """Max of |D_q^2 exact| sampled over the positive mesh nodes."""
     worst = 0.0
     for t in mesh_nodes[1:]:
-        d2 = q_derivative_n(problem.exact, float(t), q, 2, ctl)
+        d2 = q_derivative_n(problem.exact, float(t), q, 2)
         worst = max(worst, float(np.max(np.abs(d2))))
     return worst
 
@@ -345,13 +340,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=None,
                        help="fractional order (problem default if omitted)")
         p.add_argument("--b", type=float, default=1.0, help="horizon (default 1)")
-        p.add_argument("--fp-tol", type=float, default=1e-13)
-        p.add_argument("--max-iters", type=int, default=200)
-        p.add_argument("--perturb", type=float, default=1e-8,
+        p.add_argument("--fp-tol", type=float, default=SolverConfig.fp_tol)
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_fp_iters)
+        p.add_argument("--perturb", type=float,
+                       default=SolverConfig.start_perturbation,
                        help="relative nudge of the previous state that starts "
                             "step 1, components at rest, and the re-solve of a "
                             "step that fails from the predicted start (its "
-                            "fp_iters then count both attempts; default 1e-8)")
+                            "fp_iters then count both attempts; default "
+                            "%(default)g)")
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="run the implicit scheme once")

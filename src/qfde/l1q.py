@@ -21,13 +21,12 @@ every node of every mesh with that q and alpha.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityError, NonConvergenceError
-from .qcore import DEFAULT_CONTROL, QScale, SeriesControl, q_gamma
+from .errors import MonotonicityError
+from .qcore import QScale, q_gamma, tail_terms
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,11 @@ def build_mesh(scale: QScale, N: int) -> QMesh:
     return QMesh(scale=scale, N=N, nodes=nodes, steps=steps)
 
 
-def weight_table(q: float, alpha: float, size: int,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> WeightTable:
+def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     """G, D, S and R of :class:`WeightTable` for target nodes n <= size.
 
     One downward pass from a tail index M = max(size, T), where
-    q^T <= ctl.rel_tol, runs the recurrences
+    T = :func:`~qfde.qcore.tail_terms` (q^T <= 1e-14), runs the recurrences
 
         G(m-1) = G(m) (1-q^m)/(1-q^(m-alpha)),  that is G(m-1) = G(m) + D(m),
         D(m)   = G(m) q^m (q^(-alpha)-1)/(1-q^(m-alpha)),
@@ -133,7 +131,7 @@ def weight_table(q: float, alpha: float, size: int,
     q^(n-1).  Each is then a sum of positive terms, free of cancellation,
     and of order 1, so none underflows where q^m does.  The pass starts
     from the leading terms of the tail sums, whose relative error is
-    O(q^M) <= rel_tol, and damps that error by q per step.
+    O(q^M) <= 1e-14, and damps that error by q per step.
 
     The strict chain t_n^(-alpha) < b_1 < ... < b_n, that is D > 0 and
     S - 1 > 0, is asserted on the scaled values as a corruption detector.
@@ -144,12 +142,7 @@ def weight_table(q: float, alpha: float, size: int,
         raise ValueError(f"fractional order must be in (0, 1), got {alpha}")
     if size < 1:
         raise ValueError(f"weight table needs size >= 1, got {size}")
-    tail = math.ceil(math.log(ctl.rel_tol) / math.log(q))
-    if tail > ctl.max_terms:
-        raise NonConvergenceError(
-            f"weight table tail needs {tail} terms at q={q!r}, over "
-            f"max_terms={ctl.max_terms}")
-    M = max(size, tail)
+    M = max(size, tail_terms(q))
     qm = q ** np.arange(M + 1, dtype=float)
     den = (1.0 - q ** (np.arange(M + 1) - alpha)).tolist()
     c = q ** -alpha - 1.0
@@ -179,8 +172,7 @@ def weight_table(q: float, alpha: float, size: int,
     return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S, R=R)
 
 
-def coefficients(mesh: QMesh, n: int, alpha: float,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> L1qCoefficients:
+def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
     """Weights b_1 .. b_n for target node n, and the gaps of their chain.
 
     Read off a fresh :func:`weight_table` of size n and scaled by
@@ -189,7 +181,7 @@ def coefficients(mesh: QMesh, n: int, alpha: float,
     """
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
-    table = weight_table(mesh.scale.q, alpha, n, ctl)
+    table = weight_table(mesh.scale.q, alpha, n)
     scale = mesh.nodes[n] ** (-alpha)
     weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
     gaps = scale * np.concatenate((table.R[n:n + 1] if n >= 2 else [],
@@ -198,7 +190,7 @@ def coefficients(mesh: QMesh, n: int, alpha: float,
 
 
 def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients, q: float,
-              alpha: float, ctl: SeriesControl = DEFAULT_CONTROL):
+              alpha: float):
     """Apply the difference formula to samples x^0 .. x^n (componentwise).
 
     Returns (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}).
@@ -208,22 +200,11 @@ def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients, q: float,
         raise ValueError(
             f"need {coeffs.n + 1} samples x^0..x^n, got {samples.shape[0]}")
     diffs = np.diff(samples, axis=0)
-    out = np.tensordot(coeffs.weights, diffs, axes=(0, 0)) / q_gamma(1.0 - alpha, q, ctl)
+    out = np.tensordot(coeffs.weights, diffs, axes=(0, 0)) / q_gamma(1.0 - alpha, q)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def rearranged_step_weights(coeffs: L1qCoefficients):
-    """Weights of the solved-for-x^n form of the difference equation.
-
-    b_n x^n = b_1 x^0 + sum_k (b_{k+1} - b_k) x^k + Gamma_q(1-alpha) f^n
-    maps to (lead, history, init) = (b_n, gaps of the weight chain, b_1).
-    """
-    w = coeffs.weights
-    return w[-1], coeffs.gaps, w[0]
-
-
-def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> TruncationBound:
+def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> TruncationBound:
     """Remainder bound for the difference formula at node n.
 
     |R^n| <= m2 * t_n^(-alpha) * dt_n^2 /
@@ -238,5 +219,5 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float,
     t_n = mesh.nodes[n]
     dt_n = mesh.steps[n - 1]
     value = (m2 * t_n ** (-alpha) * dt_n ** 2
-             / (4.0 * q_gamma(1.0 - alpha, q, ctl) * (1.0 - q * q) * (q ** alpha - q)))
+             / (4.0 * q_gamma(1.0 - alpha, q) * (1.0 - q * q) * (q ** alpha - q)))
     return TruncationBound(n=n, value=value, m2=m2)

@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from .qcore import DEFAULT_CONTROL, SeriesControl, q_gamma
+from .qcore import q_gamma
 from .solver import IVProblem
 
 
-def _example1(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem:
+def _example1(q: float, b: float, alpha: float) -> IVProblem:
     """Linear problem with exact solution x(t) = t^2 + t + 1 at alpha = 1/2.
 
     The forcing is the order-1/2 derivative of the exact solution:
@@ -30,8 +30,8 @@ def _example1(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem
     """
     if abs(alpha - 0.5) > 1e-12:
         raise ValueError("problem 'example1' is defined for alpha = 1/2")
-    c2 = (1.0 + q) / q_gamma(2.5, q, ctl)
-    c1 = 1.0 / q_gamma(1.5, q, ctl)
+    c2 = (1.0 + q) / q_gamma(2.5, q)
+    c1 = 1.0 / q_gamma(1.5, q)
 
     def f(t, x):
         return np.atleast_1d(c2 * t ** 1.5 + c1 * math.sqrt(t))
@@ -40,7 +40,7 @@ def _example1(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem
                      exact=lambda t: np.atleast_1d(t * t + t + 1.0))
 
 
-def _example2(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem:
+def _example2(q: float, b: float, alpha: float) -> IVProblem:
     """Nonlinear problem  D^(2/3) x = (1+q)/Gamma_q(7/3) * (x-1)^(2/3),  x(0)=1.
 
     x(t) = t^2 + 1 solves it, but so does x = 1 (both sides vanish at
@@ -49,7 +49,7 @@ def _example2(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem
     """
     if abs(alpha - 2.0 / 3.0) > 1e-12:
         raise ValueError("problem 'example2' is defined for alpha = 2/3")
-    c = (1.0 + q) / q_gamma(7.0 / 3.0, q, ctl)
+    c = (1.0 + q) / q_gamma(7.0 / 3.0, q)
 
     def f(t, x):
         return c * np.cbrt(np.asarray(x) - 1.0) ** 2
@@ -58,17 +58,16 @@ def _example2(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem
                      exact=lambda t: np.atleast_1d(t * t + 1.0))
 
 
-def _constant(q: float, b: float, alpha: float, ctl: SeriesControl) -> IVProblem:
+def _constant(q: float, b: float, alpha: float) -> IVProblem:
     """f = 0 with x0 = 1; the solution stays constant."""
     return IVProblem(f=lambda t, x: np.zeros(1), alpha=alpha,
                      x0=np.array([1.0]), lipschitz_L=0.0,
                      exact=lambda t: np.array([1.0]))
 
 
-def _manufactured_linear(q: float, b: float, alpha: float,
-                         ctl: SeriesControl) -> IVProblem:
+def _manufactured_linear(q: float, b: float, alpha: float) -> IVProblem:
     """Exact solution x(t) = 1 + 2t at any order; forcing from the power rule."""
-    c = 2.0 / q_gamma(2.0 - alpha, q, ctl)
+    c = 2.0 / q_gamma(2.0 - alpha, q)
 
     def f(t, x):
         return np.atleast_1d(c * t ** (1.0 - alpha))
@@ -77,10 +76,9 @@ def _manufactured_linear(q: float, b: float, alpha: float,
                      exact=lambda t: np.atleast_1d(1.0 + 2.0 * t))
 
 
-def _manufactured_quadratic(q: float, b: float, alpha: float,
-                            ctl: SeriesControl) -> IVProblem:
+def _manufactured_quadratic(q: float, b: float, alpha: float) -> IVProblem:
     """Exact solution x(t) = t^2 + 1 at any order; forcing from the power rule."""
-    c = (1.0 + q) / q_gamma(3.0 - alpha, q, ctl)
+    c = (1.0 + q) / q_gamma(3.0 - alpha, q)
 
     def f(t, x):
         return np.atleast_1d(c * t ** (2.0 - alpha))
@@ -111,12 +109,12 @@ def default_alpha(name: str) -> float:
     return DEFAULT_ALPHA.get(name, 0.5)
 
 
-def make_problem(name: str, q: float, b: float = 1.0, alpha: float | None = None,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> IVProblem:
+def make_problem(name: str, q: float, b: float = 1.0,
+                 alpha: float | None = None) -> IVProblem:
     """Resolve a registry problem for the given run parameters."""
     if name not in _REGISTRY:
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(problem_names())}")
     if alpha is None:
         alpha = default_alpha(name)
-    return _REGISTRY[name](q, b, alpha, ctl)
+    return _REGISTRY[name](q, b, alpha)

@@ -6,9 +6,16 @@ provides the q-bracket and q-factorial, the q-shifted factorial
 product ratio otherwise), the q-gamma and q-beta functions, Jackson's
 q-integral and the q-derivative with its iterated closed form.
 
-All values are plain doubles.  Truncation of the infinite sums and
-products is governed by :class:`SeriesControl`; the operations are pure
-functions and safe for concurrent use.
+All values are plain doubles, and the operations are pure functions,
+safe for concurrent use.  The infinite sums and products stop at a
+relative tolerance of REL_TOL = 1e-14.  How many terms that takes is
+fixed by q: the terms decay like q^m, so T(q) = ceil(ln(REL_TOL)/ln q)
+of them reach the tolerance (Gasper & Rahman, *Basic Hypergeometric
+Series*, 2nd ed., ch. 1).  Every loop may run max(10_000, 2 T(q)) terms
+before it raises :class:`~qfde.errors.NonConvergenceError`; the factor 2
+covers the product's tighter band REL_TOL (1-q).  T(q) is capped at
+MAX_TAIL = 2^20 terms as a memory guard (q up to about 0.99997); past
+it a call raises NonConvergenceError before its loop starts.
 """
 
 from __future__ import annotations
@@ -40,23 +47,29 @@ class QScale:
             raise ValueError(f"horizon b must be positive, got {self.b}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series and products."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
+REL_TOL = 1e-14        # relative truncation tolerance of every series
+MIN_TERMS = 10_000     # floor of the term budget of every loop
+MAX_TAIL = 2 ** 20     # largest T(q) accepted: a memory guard
 
 _TINY = np.finfo(float).tiny
+
+
+def tail_terms(q: float) -> int:
+    """T(q) = ceil(ln(REL_TOL)/ln q), the least T with q^T <= REL_TOL.
+
+    Raises NonConvergenceError when T(q) exceeds MAX_TAIL.
+    """
+    tail = math.ceil(math.log(REL_TOL) / math.log(q))
+    if tail > MAX_TAIL:
+        raise NonConvergenceError(
+            f"series at q={q!r} need {tail} terms to reach {REL_TOL:g}, "
+            f"over the limit of {MAX_TAIL}")
+    return tail
+
+
+def _budget(q: float) -> int:
+    """Terms a loop may run at q before it gives up: max(MIN_TERMS, 2 T(q))."""
+    return max(MIN_TERMS, 2 * tail_terms(q))
 
 
 def _check_q(q: float) -> None:
@@ -94,8 +107,7 @@ def shifted_factorial_int(t: float, s: float, k: int, q: float) -> float:
     return out
 
 
-def shifted_factorial_real(t: float, s: float, alpha: float, q: float,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
     """(t - s)^(alpha) for real alpha, 0 <= s <= t, t > 0.
 
     Nonnegative integer alpha routes to the exact finite product; other
@@ -104,9 +116,9 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float,
 
         t^alpha * prod_{i>=0} (t - q^i s)/(t - q^(alpha+i) s),
 
-    stopped at the first factor within rel_tol*(1-q) of 1.  Factors
+    stopped at the first factor within REL_TOL*(1-q) of 1.  Factors
     approach 1 geometrically at rate q, so the dropped tail contributes a
-    relative error of order rel_tol.
+    relative error of order REL_TOL.
     """
     _check_q(q)
     for name, value in (("t", t), ("s", s), ("alpha", alpha)):
@@ -119,11 +131,12 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float,
         raise ValueError(f"shifted factorial needs 0 <= s <= t, got s={s}, t={t}")
     if alpha == math.floor(alpha) and alpha >= 0:
         return shifted_factorial_int(t, s, int(alpha), q)
-    band = ctl.rel_tol * (1.0 - q)
+    budget = _budget(q)
+    band = REL_TOL * (1.0 - q)
     prod = 1.0
     qi = 1.0            # q^i
     qai = q ** alpha    # q^(alpha+i)
-    for _ in range(ctl.max_terms):
+    for _ in range(budget):
         den = t - qai * s
         if den == 0.0:
             raise SingularKernelError(
@@ -136,10 +149,11 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float,
         qi *= q
         qai *= q
     raise NonConvergenceError(
-        f"shifted factorial product did not settle within {ctl.max_terms} factors")
+        f"shifted factorial product did not settle within {budget} factors "
+        f"at q={q!r}")
 
 
-def q_gamma(alpha: float, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_gamma(alpha: float, q: float) -> float:
     """q-gamma function, Gamma_q(alpha) = (1 - q)^(alpha-1) * (1 - q)^(1-alpha).
 
     The first factor is the q-shifted factorial (t - s)^(alpha-1) read with
@@ -152,14 +166,13 @@ def q_gamma(alpha: float, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> flo
         raise ValueError(f"q-gamma needs a finite alpha, got alpha={alpha}")
     if alpha == math.floor(alpha) and alpha <= 0.0:
         raise PoleError(f"q-gamma has a pole at alpha={alpha}")
-    return shifted_factorial_real(1.0, q, alpha - 1.0, q, ctl) * (1.0 - q) ** (1.0 - alpha)
+    return shifted_factorial_real(1.0, q, alpha - 1.0, q) * (1.0 - q) ** (1.0 - alpha)
 
 
-def q_integral_zero(f: QFunction, x: float, q: float,
-                    ctl: SeriesControl = DEFAULT_CONTROL):
+def q_integral_zero(f: QFunction, x: float, q: float):
     """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n).
 
-    Stops once three consecutive terms fall below rel_tol times the
+    Stops once three consecutive terms fall below REL_TOL times the
     running sum (guarding against f vanishing at isolated lattice
     points).
     """
@@ -168,13 +181,14 @@ def q_integral_zero(f: QFunction, x: float, q: float,
         raise ValueError(f"q-integral needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    budget = _budget(q)
     total = None
     point = float(x)
     small = 0
-    for _ in range(ctl.max_terms):
+    for _ in range(budget):
         term = point * np.asarray(f(point), dtype=float)
         total = term if total is None else total + term
-        if float(np.max(np.abs(term))) < ctl.rel_tol * (float(np.max(np.abs(total))) + _TINY):
+        if float(np.max(np.abs(term))) < REL_TOL * (float(np.max(np.abs(total))) + _TINY):
             small += 1
             if small == 3:
                 out = (1.0 - q) * total
@@ -183,42 +197,42 @@ def q_integral_zero(f: QFunction, x: float, q: float,
             small = 0
         point *= q
     raise NonConvergenceError(
-        f"Jackson integral did not settle within {ctl.max_terms} terms")
+        f"Jackson integral did not settle within {budget} terms at q={q!r}")
 
 
-def q_integral(f: QFunction, a: float, b: float, q: float,
-               ctl: SeriesControl = DEFAULT_CONTROL):
+def q_integral(f: QFunction, a: float, b: float, q: float):
     """q-integral over (a, b) as the difference of two Jackson integrals."""
     if a < 0.0 or a > b:
         raise ValueError(f"q-integral needs 0 <= a <= b, got a={a}, b={b}")
-    return q_integral_zero(f, b, q, ctl) - q_integral_zero(f, a, q, ctl)
+    return q_integral_zero(f, b, q) - q_integral_zero(f, a, q)
 
 
-def q_derivative(f: QFunction, t: float, q: float,
-                 ctl: SeriesControl = DEFAULT_CONTROL):
+def q_derivative(f: QFunction, t: float, q: float):
     """D_q f(t) = (f(qt) - f(t)) / ((q-1) t); at t = 0, the lattice limit.
 
     The limit is probed along 1, q, q^2, ... until two consecutive
-    difference quotients agree to rel_tol.
+    difference quotients agree to REL_TOL.
     """
     _check_q(q)
     if t < 0.0:
         raise ValueError(f"q-derivative needs t >= 0, got {t}")
     if t > 0.0:
         return (f(q * t) - f(t)) / ((q - 1.0) * t)
+    budget = _budget(q)
     f0 = np.asarray(f(0.0), dtype=float)
     point = 1.0
     prev = None
-    for _ in range(ctl.max_terms):
+    for _ in range(budget):
         quot = (np.asarray(f(point), dtype=float) - f0) / point
         if prev is not None:
             gap = float(np.max(np.abs(quot - prev)))
-            if gap < ctl.rel_tol * (1.0 + float(np.max(np.abs(quot)))):
+            if gap < REL_TOL * (1.0 + float(np.max(np.abs(quot)))):
                 return float(quot) if quot.ndim == 0 else quot
         prev = quot
         point *= q
     raise NonConvergenceError(
-        f"q-derivative limit at t=0 did not settle within {ctl.max_terms} probes")
+        f"q-derivative limit at t=0 did not settle within {budget} probes "
+        f"at q={q!r}")
 
 
 def _iterated_coefficients(n: int, q: float) -> np.ndarray:
@@ -230,8 +244,7 @@ def _iterated_coefficients(n: int, q: float) -> np.ndarray:
     return a
 
 
-def q_derivative_n(f: QFunction, t: float, q: float, n: int,
-                   ctl: SeriesControl = DEFAULT_CONTROL):
+def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     """n-fold q-derivative.
 
     For t > 0 this is the exact finite combination of f at q^j t,
@@ -245,9 +258,9 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int,
         raise ValueError(f"q-derivative needs t >= 0, got {t}")
     if t == 0.0:
         if n == 1:
-            return q_derivative(f, 0.0, q, ctl)
-        inner = lambda u: q_derivative_n(f, u, q, n - 1, ctl)
-        return q_derivative(inner, 0.0, q, ctl)
+            return q_derivative(f, 0.0, q)
+        inner = lambda u: q_derivative_n(f, u, q, n - 1)
+        return q_derivative(inner, 0.0, q)
     coeff = _iterated_coefficients(n, q)
     total = None
     point = float(t)
@@ -259,8 +272,7 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int,
     return float(out) if out.ndim == 0 else out
 
 
-def q_beta(alpha: float, beta: float, q: float,
-           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q_beta(alpha: float, beta: float, q: float) -> float:
     """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t.
 
     Thin convenience over the q-integral and the shifted factorial; it
@@ -273,6 +285,6 @@ def q_beta(alpha: float, beta: float, q: float,
         raise ValueError(f"q-beta needs alpha, beta > 0, got {alpha}, {beta}")
 
     def integrand(u: float) -> float:
-        return u ** (alpha - 1.0) * shifted_factorial_real(1.0, q * u, beta - 1.0, q, ctl)
+        return u ** (alpha - 1.0) * shifted_factorial_real(1.0, q * u, beta - 1.0, q)
 
-    return q_integral_zero(integrand, 1.0, q, ctl)
+    return q_integral_zero(integrand, 1.0, q)

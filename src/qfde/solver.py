@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import FixedPointError
 from .l1q import QMesh, build_mesh, weight_table
-from .qcore import DEFAULT_CONTROL, QFunction, QScale, SeriesControl, q_gamma
+from .qcore import QFunction, QScale, q_gamma
 
 
 @dataclass
@@ -88,7 +88,6 @@ class SolverConfig:
     # last increment is exactly zero, and the re-solve of a step that
     # fails from the predicted start.
     start_perturbation: float = 1e-8
-    series: SeriesControl = field(default_factory=SeriesControl)
 
     def __post_init__(self):
         if self.fp_tol <= 0.0:
@@ -122,12 +121,11 @@ class ErrorReport:
     rate_constants: np.ndarray    # |e_n| / q^(2(N-n))
 
 
-def contraction_constant(L: float, alpha: float, scale: QScale,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
     """L_1 = L * Gamma_q(1-alpha) * b^alpha; the step map contracts iff < 1."""
     if L < 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
-    return L * q_gamma(1.0 - alpha, scale.q, ctl) * scale.b ** alpha
+    return L * q_gamma(1.0 - alpha, scale.q) * scale.b ** alpha
 
 
 def _norm(v: np.ndarray) -> float:
@@ -143,7 +141,7 @@ def _norm(v: np.ndarray) -> float:
     return total if total != total else max(map(abs, values))
 
 
-def _march(mesh: QMesh, alpha: float, states: np.ndarray, ctl: SeriesControl,
+def _march(mesh: QMesh, alpha: float, states: np.ndarray,
            step: Callable[[int, float, np.ndarray, float], np.ndarray]) -> None:
     """Fill states[1:] by the increment form of the scheme.
 
@@ -151,8 +149,8 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray, ctl: SeriesControl,
     caller's f^n, where base = x^{n-1} - hist_n / lead_n and
     gain = Gamma_q(1-alpha) t_n^alpha / lead_n.
     """
-    table = weight_table(mesh.scale.q, alpha, mesh.N, ctl)
-    gamma = q_gamma(1.0 - alpha, mesh.scale.q, ctl)
+    table = weight_table(mesh.scale.q, alpha, mesh.N)
+    gamma = q_gamma(1.0 - alpha, mesh.scale.q)
     dx = np.zeros_like(states)
     G, S = table.G, table.S
     for n in range(1, mesh.N + 1):
@@ -178,7 +176,6 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     mesh = build_mesh(scale, N)
-    ctl = config.series
     alpha = problem.alpha
 
     states = np.zeros((N + 1, problem.d))
@@ -188,7 +185,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
     history: list = []
     L1 = None
     if problem.lipschitz_L is not None:
-        L1 = contraction_constant(problem.lipschitz_L, alpha, scale, ctl)
+        L1 = contraction_constant(problem.lipschitz_L, alpha, scale)
 
     trace = SolveTrace(mesh=mesh, states=states, fp_iterations=iters,
                        residuals=residuals, contraction_L1=L1,
@@ -256,16 +253,17 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
         residuals[n - 1] = increments[-1]
         return x
 
-    _march(mesh, alpha, states, ctl, fixed_point)
+    _march(mesh, alpha, states, fixed_point)
     return trace
 
 
 def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
-                         scale: QScale, N: int,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> SolveTrace:
+                         scale: QScale, N: int) -> SolveTrace:
     """Explicit forward recurrence when f^1 .. f^N are given data.
 
-    One exact pass per step; no inner iteration.
+    One exact pass per step; no inner iteration.  Raises ValueError,
+    naming the first bad sample, if x0 or any forcing sample is not
+    finite.
     """
     fsamples = np.atleast_1d(np.asarray(fsamples, dtype=float))
     if fsamples.ndim == 1:
@@ -273,32 +271,35 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
     if fsamples.shape[0] != N:
         raise ValueError(f"need N={N} forcing samples, got {fsamples.shape[0]}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial value x0 must be finite, got {x0}")
+    bad = ~np.all(np.isfinite(fsamples), axis=1)
+    if bad.any():
+        n = int(np.argmax(bad)) + 1
+        raise ValueError(f"forcing sample f^{n} is not finite: {fsamples[n - 1]}")
     mesh = build_mesh(scale, N)
 
     states = np.zeros((N + 1, x0.shape[0]))
     states[0] = x0
-    _march(mesh, alpha, states, ctl,
-           lambda n, t_n, base, gain: base + gain * fsamples[n - 1])
+    _march(mesh, alpha, states, lambda n, t_n, base, gain: base + gain * fsamples[n - 1])
     return SolveTrace(mesh=mesh, states=states,
                       fp_iterations=np.ones(N, dtype=int),
                       residuals=np.zeros(N))
 
 
 def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
-                    q: float, L1: float,
-                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                    q: float, L1: float) -> float:
     """A-priori solution bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) t_n^alpha fmax]."""
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
     if fmax < 0.0:
         raise ValueError(f"fmax must be >= 0, got {fmax}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return (_norm(x0) + q_gamma(1.0 - alpha, q, ctl) * t_n ** alpha * fmax) / (1.0 - L1)
+    return (_norm(x0) + q_gamma(1.0 - alpha, q) * t_n ** alpha * fmax) / (1.0 - L1)
 
 
 def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
-                 L1: float = 0.0,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> ErrorReport:
+                 L1: float = 0.0) -> ErrorReport:
     """Per-node errors against the exact solution, with the a-priori bound.
 
     The bound at node n is

@@ -1,7 +1,9 @@
 """CLI harness: runs, formats, round trips, exit codes."""
 
 import io
+import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -229,7 +231,7 @@ def test_missing_exact_solution_rejected(monkeypatch):
     import qfde.problems as problems_mod
     from qfde import IVProblem
 
-    def no_exact(q, b, alpha, ctl):
+    def no_exact(q, b, alpha):
         return IVProblem(f=lambda t, x: np.zeros(1), alpha=alpha,
                          x0=np.array([1.0]), lipschitz_L=0.0)
 
@@ -239,3 +241,24 @@ def test_missing_exact_solution_rejected(monkeypatch):
         run_convergence(spec, [4, 6], 0.5)
     with pytest.raises(ValueError):
         run_bounds(spec)
+
+
+def test_main_solve_near_q_one(tmp_path):
+    # T(0.999) = 32,221 factors per q-gamma product, over the 10,000 floor
+    # of the series budget
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--problem", "manufactured-quadratic", "--q", "0.999",
+                 "--N", "2000", "--format", "csv", "--out", str(out)]) == EXIT_OK
+    with open(out, encoding="utf-8") as fh:
+        record = parse_csv(fh)
+    assert len(record.rows) == 2000
+    assert all(math.isfinite(row[1]) for row in record.rows)
+
+
+def test_main_q_past_the_tail_limit_fails_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["solve", "--problem", "manufactured-quadratic",
+                 "--q", "0.999999", "--N", "20"])
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_SOLVER
+    assert "over the limit" in capsys.readouterr().err

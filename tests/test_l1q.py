@@ -16,12 +16,12 @@ from qfde import (
     q_derivative,
     q_gamma,
     q_integral,
-    rearranged_step_weights,
     shifted_factorial_real,
     truncation_bound,
     weight_table,
 )
 from qfde._kernels import b1_weight
+from qfde.qcore import tail_terms
 
 from oracles import mp_b1, mp_b1_telescoped, mp_shifted_real
 
@@ -180,16 +180,16 @@ def test_l1q_apply_componentwise():
     assert out[1] == pytest.approx(l1q_apply(xs[:, 1], c, 0.5, 0.5), rel=1e-15)
 
 
-def test_rearranged_step_weights():
+def test_coefficient_gaps():
     mesh = build_mesh(QScale(0.5, 1.0), 6)
-    lead, hist, init = rearranged_step_weights(coefficients(mesh, 1, 0.5))
-    assert hist.size == 0
-    assert lead == init
-    lead, hist, init = rearranged_step_weights(coefficients(mesh, 2, 0.5))
-    assert hist.shape == (1,) and hist[0] > 0.0
-    lead, hist, init = rearranged_step_weights(coefficients(mesh, 5, 0.5))
-    assert hist.shape == (4,) and np.all(hist > 0.0)
-    assert lead > init > 0.0
+    c = coefficients(mesh, 1, 0.5)
+    assert c.gaps.size == 0
+    assert c.weights.shape == (1,)
+    c = coefficients(mesh, 2, 0.5)
+    assert c.gaps.shape == (1,) and c.gaps[0] > 0.0
+    c = coefficients(mesh, 5, 0.5)
+    assert c.gaps.shape == (4,) and np.all(c.gaps > 0.0)
+    assert c.weights[-1] > c.weights[0] > 0.0
 
 
 def test_truncation_bound_formula():
@@ -290,6 +290,18 @@ def test_weight_table_matches_oracle(q, alpha):
     assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= 1e-14
 
 
+def test_weight_table_near_q_one():
+    # the downward pass starts T(0.999) = 32,221 terms out, past the
+    # 10,000 floor of the series budget; the telescoped b_1 at n = 1
+    # gives S(1) = 1/[1-alpha]_q exactly
+    q, alpha = 0.999, 0.5
+    table = weight_table(q, alpha, 100)
+    tol = tail_terms(q) * np.finfo(float).eps
+    assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= tol
+    assert np.all(table.D[1:] > 0.0) and np.all(table.R[2:] > 0.0)
+    assert np.all(np.diff(table.G) < 0.0)
+
+
 @pytest.mark.parametrize("q, alpha, n", [(0.25, 0.5, 7), (2.0 / 3.0, 2.0 / 3.0, 30),
                                          (0.9, 0.3, 60), (0.9, 0.9, 1)])
 def test_b1_series_matches_weight_table(q, alpha, n):
@@ -307,8 +319,7 @@ def test_history_weights_match_oracle_far_from_target():
     q = alpha = 2.0 / 3.0
     mesh = build_mesh(QScale(q, 1.0), 100)
     c = coefficients(mesh, 100, alpha)
-    lead, hist, init = rearranged_step_weights(c)
-    assert hist.shape == (99,) and np.all(hist > 0.0)
+    assert c.gaps.shape == (99,) and np.all(c.gaps > 0.0)
     scale = mesh.nodes[100] ** (-alpha)
     for k in (1, 2, 10, 25, 40, 50, 99):
         m = 100 - k
@@ -317,8 +328,7 @@ def test_history_weights_match_oracle_far_from_target():
                 ref = _oracle_G(98, alpha, q) - _oracle_S(100, alpha, q)
             else:
                 ref = _oracle_G(m - 1, alpha, q) - _oracle_G(m, alpha, q)
-            assert abs(hist[k - 1] - scale * ref) <= 1e-13 * scale * ref
-    assert lead == c.weights[-1] and init == c.weights[0]
+            assert abs(c.gaps[k - 1] - scale * ref) <= 1e-13 * scale * ref
 
 
 def test_coefficients_past_the_rounding_of_g():

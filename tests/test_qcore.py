@@ -1,6 +1,7 @@
 """Unit tests for the q-calculus primitives."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,6 @@ from qfde import (
     NonConvergenceError,
     PoleError,
     QScale,
-    SeriesControl,
     SingularKernelError,
     q_beta,
     q_bracket,
@@ -25,6 +25,8 @@ from qfde import (
     shifted_factorial_int,
     shifted_factorial_real,
 )
+from qfde import qcore
+from qfde.qcore import tail_terms
 
 from oracles import mp_qgamma, mp_shifted_real
 
@@ -83,14 +85,15 @@ def test_shifted_factorial_real_integer_routing():
     assert shifted_factorial_real(2.0, 1.0, 0.0, 0.4) == 1.0
 
 
-def test_shifted_factorial_real_domain():
+def test_shifted_factorial_real_domain(monkeypatch):
     with pytest.raises(ValueError):
         shifted_factorial_real(1.0, 1.5, 0.5, 0.5)   # s > t
     with pytest.raises(ValueError):
         shifted_factorial_real(0.0, 0.0, 0.5, 0.5)   # t <= 0
-    with pytest.raises(NonConvergenceError):
-        shifted_factorial_real(1.0, 0.9, -0.5, 0.9,
-                               SeriesControl(rel_tol=1e-14, max_terms=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, "_budget", lambda q: 3)
+        with pytest.raises(NonConvergenceError):
+            shifted_factorial_real(1.0, 0.9, -0.5, 0.9)
     # alpha = -2 puts q^(alpha+i) through 1 exactly at i=2, so with s = t
     # the denominator t - s vanishes
     with pytest.raises(SingularKernelError):
@@ -201,12 +204,14 @@ def test_q_derivative_n_at_zero():
         1.5, rel=1e-6)
 
 
-def test_limit_and_series_non_convergence():
+def test_limit_and_series_non_convergence(monkeypatch):
     wobble = lambda t: t * math.sin(1.0 / t) if t > 0.0 else 0.0
+    monkeypatch.setattr(qcore, "_budget", lambda q: 50)
     with pytest.raises(NonConvergenceError):
-        q_derivative(wobble, 0.0, 0.5, SeriesControl(max_terms=50))
+        q_derivative(wobble, 0.0, 0.5)
+    monkeypatch.setattr(qcore, "_budget", lambda q: 10)
     with pytest.raises(NonConvergenceError):
-        q_integral_zero(lambda t: 1.0, 1.0, 0.5, SeriesControl(max_terms=10))
+        q_integral_zero(lambda t: 1.0, 1.0, 0.5)
 
 
 def test_q_beta_gamma_identity():
@@ -310,7 +315,27 @@ def test_validation_types():
         QScale(q=1.2)
     with pytest.raises(ValueError):
         QScale(q=0.5, b=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_q_gamma_near_one(q):
+    # the product needs T(q) = 32,221 and 322,346 factors here, past the
+    # 10,000 floor of the budget; its rounding error grows like T(q) eps
+    tol = tail_terms(q) * np.finfo(float).eps
+    for n in (1, 2, 5):
+        assert q_gamma(n + 1.0, q) == pytest.approx(q_factorial(n, q), rel=tol)
+    for x in (0.5, 1.3, 2.25):
+        assert q_gamma(x + 1.0, q) == pytest.approx(
+            q_bracket(x, q) * q_gamma(x, q), rel=tol)
+
+
+def test_q_past_the_tail_limit_is_refused_at_once():
+    q = 1.0 - 1e-6      # T(q) = 32,236,176 terms, over MAX_TAIL
+    start = time.perf_counter()
+    for call in (lambda: tail_terms(q), lambda: q_gamma(0.5, q),
+                 lambda: shifted_factorial_real(1.0, 0.5, -0.5, q),
+                 lambda: q_integral_zero(lambda t: 1.0, 1.0, q),
+                 lambda: q_derivative(lambda t: t, 0.0, q)):
+        with pytest.raises(NonConvergenceError, match=r"q=0\.99999.* over the limit"):
+            call()
+    assert time.perf_counter() - start < 0.1

@@ -25,6 +25,7 @@ from qfde import (
     stability_bound,
     truncation_bound,
 )
+from qfde.qcore import tail_terms
 from qfde.solver import rate_constants
 
 from oracles import mp_l1q_march, mp_l1q_residuals
@@ -118,6 +119,15 @@ def test_solve_linear_history_manufactured():
 def test_solve_linear_history_validation():
     with pytest.raises(ValueError):
         solve_linear_history(np.zeros(3), 0.0, 0.5, QScale(0.5, 1.0), 4)
+    scale = QScale(0.5, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"forcing sample f\^2 is not finite"):
+            solve_linear_history([1.0, bad, 2.0, bad], 0.0, 0.5, scale, 4)
+        with pytest.raises(ValueError, match=r"forcing sample f\^3 is not finite"):
+            solve_linear_history([[1.0, 1.0], [2.0, 2.0], [3.0, bad]],
+                                 [0.0, 0.0], 0.5, scale, 3)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve_linear_history([1.0, 2.0, 3.0], [0.0, bad], 0.5, scale, 3)
 
 
 def test_stability_bound_values():
@@ -268,6 +278,19 @@ def test_manufactured_quadratic_large_N(q, N):
     trace = solve_ivp(problem, QScale(q, 1.0), N)
     exact = trace.mesh.nodes ** 2 + 1.0
     assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [0.99, 0.999])
+def test_manufactured_quadratic_near_q_one(q):
+    # N = 20000 puts t_1 at 1e-87 and 2e-9; at q = 0.999 the q-gamma
+    # products of the forcing and the scheme need T(q) = 32,221 factors,
+    # past the 10,000 floor of the series budget, and their rounding
+    # error grows like T(q) eps
+    problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
+    trace = solve_ivp(problem, QScale(q, 1.0), 20000)
+    exact = np.array([problem.exact(t)[0] for t in trace.mesh.nodes])
+    tol = tail_terms(q) * np.finfo(float).eps
+    assert np.max(np.abs(trace.states[:, 0] - exact)) <= tol
 
 
 @pytest.mark.parametrize("bad, d", [pytest.param(np.nan, 1, id="nan"),
