@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import math
 import sys
 import time
@@ -52,11 +51,7 @@ class ProblemSpec:
     b: float = 1.0
     N: int = 10
     alpha: Optional[float] = None
-    fp_tol: float = SolverConfig.fp_tol
-    max_iters: int = SolverConfig.max_fp_iters
-    perturb: float = SolverConfig.start_perturbation
-    fmt: str = "table"
-    out: Optional[str] = None
+    config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if self.alpha is None:
@@ -68,10 +63,6 @@ class ProblemSpec:
 
     def scale(self) -> QScale:
         return QScale(q=self.q, b=self.b)
-
-    def config(self) -> SolverConfig:
-        return SolverConfig(fp_tol=self.fp_tol, max_fp_iters=self.max_iters,
-                            start_perturbation=self.perturb)
 
     def problem(self) -> IVProblem:
         return make_problem(self.name, self.q, self.b, self.alpha)
@@ -89,12 +80,6 @@ class RunRecord:
         return bool(self.rows) and self.rows[0][2] is not None
 
 
-def _config_hash(spec: ProblemSpec) -> str:
-    text = repr((spec.name, spec.q, spec.b, spec.N, spec.alpha,
-                 spec.fp_tol, spec.max_iters, spec.perturb))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
 def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
                        problem: IVProblem, wall: float) -> RunRecord:
     rows = []
@@ -108,7 +93,7 @@ def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
             abs_err = abs(x_exact - x_num)
         rows.append((t_n, x_num, x_exact, abs_err, int(trace.fp_iterations[n - 1])))
     meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
-            "N": spec.N, "b": spec.b, "config": _config_hash(spec),
+            "N": spec.N, "b": spec.b, "config": spec.config,
             "wall_time_s": wall}
     return RunRecord(rows=rows, metadata=meta)
 
@@ -122,7 +107,7 @@ def run_solve(spec: ProblemSpec) -> RunRecord:
     problem = spec.problem()
     start = time.perf_counter()
     try:
-        trace = solve_ivp(problem, spec.scale(), spec.N, spec.config())
+        trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
     except FixedPointError as err:
         err.record = _record_from_trace(spec, err.trace, problem,
                                         time.perf_counter() - start)
@@ -170,10 +155,13 @@ def parse_csv(stream) -> RunRecord:
 def emit_table(record: RunRecord, stream) -> None:
     meta = record.metadata
     if meta:
+        config = meta["config"]
         stream.write(
             f"# problem={meta['problem']} q={meta['q']:.12g} "
             f"alpha={meta['alpha']:.12g} N={meta['N']} b={meta['b']:.12g} "
-            f"config={meta['config']} wall={meta['wall_time_s']:.3g}s\n")
+            f"fp_tol={config.fp_tol:g} max_iters={config.max_fp_iters} "
+            f"perturb={config.start_perturbation:g} "
+            f"wall={meta['wall_time_s']:.3g}s\n")
     if record.has_exact:
         stream.write(f"{'t_n':>24} {'x_num':>24} {'x_exact':>24} {'abs_err':>13} {'fp':>4}\n")
         for t, x, xe, err, fp in record.rows:
@@ -184,9 +172,9 @@ def emit_table(record: RunRecord, stream) -> None:
             stream.write(f"{t:>24.16e} {x:>24.16e} {fp:>4d}\n")
 
 
-def _write_output(spec_out: Optional[str], emit) -> None:
-    if spec_out:
-        with open(spec_out, "w", encoding="utf-8", newline="") as fh:
+def _write_output(out: Optional[str], emit) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
     else:
         emit(sys.stdout)
@@ -276,7 +264,7 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     if problem.exact is None:
         raise ValueError(f"problem {spec.name!r} has no exact solution")
     scale = spec.scale()
-    trace = solve_ivp(problem, scale, spec.N, spec.config())
+    trace = solve_ivp(problem, scale, spec.N, spec.config)
     if m2 is None:
         m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)
     L1 = trace.contraction_L1 if trace.contraction_L1 is not None else 0.0
@@ -372,26 +360,24 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args, N: int) -> ProblemSpec:
+    config = SolverConfig(fp_tol=args.fp_tol, max_fp_iters=args.max_iters,
+                          start_perturbation=args.perturb)
     return ProblemSpec(name=args.problem, q=args.q, b=args.b, N=N,
-                       alpha=args.alpha, fp_tol=args.fp_tol,
-                       max_iters=args.max_iters, perturb=args.perturb,
-                       out=args.out)
+                       alpha=args.alpha, config=config)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            spec = _spec_from_args(args, args.N)
-            spec.fmt = args.format
-            emit = emit_csv if spec.fmt == "csv" else emit_table
+            emit = emit_csv if args.format == "csv" else emit_table
             try:
-                record = run_solve(spec)
+                record = run_solve(_spec_from_args(args, args.N))
             except FixedPointError as err:
-                _write_output(spec.out, lambda fh: emit(err.record, fh))
+                _write_output(args.out, lambda fh: emit(err.record, fh))
                 sys.stderr.write(f"error: {err}\n")
                 return EXIT_SOLVER
-            _write_output(spec.out, lambda fh: emit(record, fh))
+            _write_output(args.out, lambda fh: emit(record, fh))
             return EXIT_OK
 
         if args.command == "converge":

@@ -143,22 +143,28 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     if size < 1:
         raise ValueError(f"weight table needs size >= 1, got {size}")
     M = max(size, tail_terms(q))
-    qm = q ** np.arange(M + 1, dtype=float)
-    den = (1.0 - q ** (np.arange(M + 1) - alpha)).tolist()
+    # Only the powers span the tail (16 bytes per term); the lists stop at size.
+    qm = np.arange(M + 1, dtype=float)
+    den = qm - alpha
+    np.subtract(1.0, np.power(q, den, out=den), out=den)
+    np.power(q, qm, out=qm)
     c = q ** -alpha - 1.0
     qq = q * q
-    g = [0.0] * (M + 1)    # (G(m) - 1)/q^m
-    d = [0.0] * (M + 1)    # D(m)/q^m
-    e = [0.0] * (M + 2)    # (S(n) - 1)/q^(n-1)
-    r = [0.0] * (M + 2)    # R(n)/q^(n-1)
-    g[M] = c * q / (1.0 - q)
-    e_next = c * q / (1.0 - qq)
-    r_next = c / (1.0 - qq)
-    for m, q_m in zip(range(M, 0, -1), qm[M:0:-1].tolist()):
-        d[m] = (1.0 + q_m * g[m]) * c / den[m]
-        g[m - 1] = q * (g[m] + d[m])
-        e[m] = e_next = (1.0 - q) * g[m - 1] + qq * e_next
-        r[m + 1] = r_next = d[m] + qq * r_next
+    g = [0.0] * size          # (G(m) - 1)/q^m
+    d = [0.0] * (size + 1)    # D(m)/q^m
+    e = [0.0] * (size + 1)    # (S(n) - 1)/q^(n-1)
+    r = [0.0] * (size + 2)    # R(n)/q^(n-1)
+    g_m = c * q / (1.0 - q)
+    e_m = c * q / (1.0 - qq)
+    r_m = c / (1.0 - qq)
+    for m, q_m, den_m in zip(range(M, 0, -1), memoryview(qm)[M:0:-1],
+                             memoryview(den)[M:0:-1]):
+        d_m = (1.0 + q_m * g_m) * c / den_m
+        g_m = q * (g_m + d_m)
+        e_m = (1.0 - q) * g_m + qq * e_m
+        r_m = d_m + qq * r_m
+        if m <= size:
+            d[m], g[m - 1], e[m], r[m + 1] = d_m, g_m, e_m, r_m
     d_used = np.array(d[1:size])
     e_used = np.array(e[1:size + 1])
     if not (np.all(d_used > 0.0) and np.all(e_used > 0.0)):

@@ -13,9 +13,11 @@ fixed by q: the terms decay like q^m, so T(q) = ceil(ln(REL_TOL)/ln q)
 of them reach the tolerance (Gasper & Rahman, *Basic Hypergeometric
 Series*, 2nd ed., ch. 1).  Every loop may run max(10_000, 2 T(q)) terms
 before it raises :class:`~qfde.errors.NonConvergenceError`; the factor 2
-covers the product's tighter band REL_TOL (1-q).  T(q) is capped at
-MAX_TAIL = 2^20 terms as a memory guard (q up to about 0.99997); past
-it a call raises NonConvergenceError before its loop starts.
+covers the product's tighter band REL_TOL (1-q).  A series whose terms
+decay like q^(c m), 0 < c < 1, has the budget of the scale q^c: T(q^c)
+is about T(q)/c.  T is capped at MAX_TAIL = 2^20 terms, which bounds the
+work of any loop (q up to about 0.99997); past it a call raises
+NonConvergenceError before its loop starts.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class QScale:
 
 REL_TOL = 1e-14        # relative truncation tolerance of every series
 MIN_TERMS = 10_000     # floor of the term budget of every loop
-MAX_TAIL = 2 ** 20     # largest T(q) accepted: a memory guard
+MAX_TAIL = 2 ** 20     # largest T(q) accepted: bounds the work of a loop
 
 _TINY = np.finfo(float).tiny
 
@@ -57,9 +59,9 @@ _TINY = np.finfo(float).tiny
 def tail_terms(q: float) -> int:
     """T(q) = ceil(ln(REL_TOL)/ln q), the least T with q^T <= REL_TOL.
 
-    Raises NonConvergenceError when T(q) exceeds MAX_TAIL.
+    Raises NonConvergenceError when T(q) exceeds MAX_TAIL or q is 1.
     """
-    tail = math.ceil(math.log(REL_TOL) / math.log(q))
+    tail = math.ceil(math.log(REL_TOL) / math.log(q)) if q < 1.0 else math.inf
     if tail > MAX_TAIL:
         raise NonConvergenceError(
             f"series at q={q!r} need {tail} terms to reach {REL_TOL:g}, "
@@ -275,16 +277,31 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
 def q_beta(alpha: float, beta: float, q: float) -> float:
     """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t.
 
-    Thin convenience over the q-integral and the shifted factorial; it
+    The Jackson sum (1-q) sum_n q^(n alpha) (1 - q^(n+1))^(beta-1): its
+    first term is a shifted factorial, and term n+1 is term n times
+    q^alpha (1 - q^(n+beta))/(1 - q^(n+1)).  The terms decay like
+    q^(n c), c = min(alpha, 1), so the sum stops at the first term within
+    REL_TOL (1 - q^c) of the total, on the budget of the scale q^c.  It
     agrees with Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
     """
+    _check_q(q)
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):
             raise ValueError(f"q-beta needs a finite {name}, got {name}={value}")
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError(f"q-beta needs alpha, beta > 0, got {alpha}, {beta}")
-
-    def integrand(u: float) -> float:
-        return u ** (alpha - 1.0) * shifted_factorial_real(1.0, q * u, beta - 1.0, q)
-
-    return q_integral_zero(integrand, 1.0, q)
+    decay = q ** min(alpha, 1.0)
+    budget = _budget(decay)
+    band = REL_TOL * (1.0 - decay)
+    qa, qb = q ** alpha, q ** beta
+    term = shifted_factorial_real(1.0, q, beta - 1.0, q)    # n = 0
+    q_n = 1.0       # q^n
+    total = 0.0
+    for _ in range(budget):
+        total += term
+        if term <= band * total:
+            return (1.0 - q) * total
+        term *= qa * (1.0 - q_n * qb) / (1.0 - q_n * q)
+        q_n *= q
+    raise NonConvergenceError(
+        f"q-beta sum did not settle within {budget} terms at q={q!r}")

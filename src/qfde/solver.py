@@ -64,18 +64,17 @@ class IVProblem:
     f: Callable[[float, np.ndarray], np.ndarray]
     alpha: float
     x0: np.ndarray
-    d: int = 0
     lipschitz_L: Optional[float] = None
     exact: Optional[QFunction] = None
+    d: int = field(init=False)    # len(x0)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must be in (0, 1), got {self.alpha}")
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.d == 0:
-            self.d = self.x0.shape[0]
-        if self.x0.shape != (self.d,):
-            raise ValueError(f"x0 must have shape ({self.d},), got {self.x0.shape}")
+        if self.x0.ndim != 1:
+            raise ValueError(f"x0 must be 1-D, got shape {self.x0.shape}")
+        self.d = self.x0.shape[0]
 
 
 @dataclass(frozen=True)

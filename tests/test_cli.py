@@ -76,7 +76,7 @@ def test_csv_without_exact_solution():
     spec = ProblemSpec(name="constant", q=0.5, N=2, alpha=0.5)
     problem = spec.problem()
     problem.exact = None
-    trace = qfde.solve_ivp(problem, spec.scale(), spec.N, spec.config())
+    trace = qfde.solve_ivp(problem, spec.scale(), spec.N, spec.config)
     from qfde.cli import _record_from_trace
 
     record = _record_from_trace(spec, trace, problem, 0.0)
@@ -102,6 +102,10 @@ def test_main_solve_table_stdout(capsys):
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "t_n" in text and text.count("\n") >= 4
+    # the header shows every solver setting, not a fingerprint of them
+    header = text.split("\n")[0]
+    assert " fp_tol=1e-13 max_iters=200 perturb=1e-08 " in header
+    assert "config=" not in header
 
 
 def test_main_invalid_arguments():

@@ -1,6 +1,7 @@
 """Unit tests for the geometric mesh and the difference-formula weights."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -300,6 +301,18 @@ def test_weight_table_near_q_one():
     assert abs(table.S[1] * q_bracket(1.0 - alpha, q) - 1.0) <= tol
     assert np.all(table.D[1:] > 0.0) and np.all(table.R[2:] > 0.0)
     assert np.all(np.diff(table.G) < 0.0)
+
+
+def test_weight_table_memory_follows_size():
+    # the pass keeps the 100 entries it returns, not T(0.999) = 32,221 of
+    # each recurrence (a 6.1 MB peak when it did)
+    tracemalloc.start()
+    try:
+        weight_table(0.999, 0.5, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("q, alpha, n", [(0.25, 0.5, 7), (2.0 / 3.0, 2.0 / 3.0, 30),

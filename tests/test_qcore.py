@@ -215,12 +215,15 @@ def test_limit_and_series_non_convergence(monkeypatch):
 
 
 def test_q_beta_gamma_identity():
-    for q in (0.3, 0.5, 0.8):
-        for alpha in (0.5, 1.0, 1.5, 2.5):
-            for beta in (0.5, 1.0, 1.5, 2.5):
-                lhs = q_beta(alpha, beta, q)
-                rhs = q_gamma(alpha, q) * q_gamma(beta, q) / q_gamma(alpha + beta, q)
-                assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
+    # the last two used to fail: a bare OverflowError from t^(alpha-1) at
+    # tiny lattice points, and a budget of 10,000 terms where the sum
+    # needs T(q)/alpha = 16,040
+    cases = [(alpha, beta, q) for q in (0.3, 0.5, 0.8)
+             for alpha in (0.5, 1.0, 1.5, 2.5) for beta in (0.5, 1.0, 1.5, 2.5)]
+    for alpha, beta, q in cases + [(0.01, 0.5, 0.5), (0.2, 1.0, 0.99)]:
+        lhs = q_beta(alpha, beta, q)
+        rhs = q_gamma(alpha, q) * q_gamma(beta, q) / q_gamma(alpha + beta, q)
+        assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
 def test_q_beta_rejects_non_finite_orders():

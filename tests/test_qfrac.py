@@ -29,8 +29,6 @@ def test_frac_integral_domain():
         frac_q_integral(lambda t: t, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         frac_q_integral(lambda t: t, 0.5, -1.0, 0.5)
-    with pytest.raises(NotImplementedError):
-        frac_q_integral(lambda t: t, 0.5, 1.0, 0.5, a=0.1)
 
 
 def test_caputo_vanishes_on_constants():
@@ -121,8 +119,6 @@ def test_out_of_scope_orders_and_limits():
     for op in (caputo_q_derivative, rl_q_derivative):
         with pytest.raises(NotImplementedError):
             op(lambda t: t, 1.0, 1.0, 0.5)
-        with pytest.raises(NotImplementedError):
-            op(lambda t: t, 0.5, 1.0, 0.5, a=0.25)
 
 
 def test_frac_integral_against_live_oracle():

@@ -267,13 +267,20 @@ def test_solver_config_validation():
         SolverConfig(start_perturbation=-1e-9)
     with pytest.raises(ValueError):
         IVProblem(f=lambda t, x: x, alpha=1.2, x0=np.array([1.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones((2, 2)))
+    # d is worked out from x0, never passed
+    assert IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(3)).d == 3
+    with pytest.raises(TypeError):
+        IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(2), d=2)
 
 
 @pytest.mark.parametrize("q, N", [(0.25, 32), (2.0 / 3.0, 85), (0.9, 300),
-                                  (0.25, 538)])
+                                  (0.25, 538), (0.9, 7049), (2.0 / 3.0, 1835)])
 def test_manufactured_quadratic_large_N(q, N):
     # past the N where the weight chain used to be rejected in rounding,
-    # up to the underflow limit of the mesh at q = 1/4 (t_1 = 2^-1074)
+    # up to the underflow limit of the mesh: t_1 = 2^-1074 at q = 1/4,
+    # 3e-323 at q = 0.9 and 1e-323 at q = 2/3
     problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
     trace = solve_ivp(problem, QScale(q, 1.0), N)
     exact = trace.mesh.nodes ** 2 + 1.0
