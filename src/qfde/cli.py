@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -315,7 +316,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ARGS)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="qfde",
                      description="q-fractional differential equation solver "
                                  "on geometric time scales")

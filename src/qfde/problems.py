@@ -20,6 +20,15 @@ from .qcore import q_gamma
 from .solver import IVProblem
 
 
+def _vector(v):
+    """v as a 1-element array for a scalar t; an array t keeps its shape.
+
+    The solver calls f with a float t on every update, and np.array([v])
+    is about half the cost of np.atleast_1d(v) there.
+    """
+    return np.array([v]) if isinstance(v, float) else np.atleast_1d(v)
+
+
 def _example1(q: float, b: float, alpha: float) -> IVProblem:
     """Linear problem with exact solution x(t) = t^2 + t + 1 at alpha = 1/2.
 
@@ -34,10 +43,10 @@ def _example1(q: float, b: float, alpha: float) -> IVProblem:
     c1 = 1.0 / q_gamma(1.5, q)
 
     def f(t, x):
-        return np.atleast_1d(c2 * t ** 1.5 + c1 * math.sqrt(t))
+        return _vector(c2 * t ** 1.5 + c1 * math.sqrt(t))
 
     return IVProblem(f=f, alpha=0.5, x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: np.atleast_1d(t * t + t + 1.0))
+                     exact=lambda t: _vector(t * t + t + 1.0))
 
 
 def _example2(q: float, b: float, alpha: float) -> IVProblem:
@@ -55,7 +64,7 @@ def _example2(q: float, b: float, alpha: float) -> IVProblem:
         return c * np.cbrt(np.asarray(x) - 1.0) ** 2
 
     return IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=None,
-                     exact=lambda t: np.atleast_1d(t * t + 1.0))
+                     exact=lambda t: _vector(t * t + 1.0))
 
 
 def _constant(q: float, b: float, alpha: float) -> IVProblem:
@@ -70,10 +79,10 @@ def _manufactured_linear(q: float, b: float, alpha: float) -> IVProblem:
     c = 2.0 / q_gamma(2.0 - alpha, q)
 
     def f(t, x):
-        return np.atleast_1d(c * t ** (1.0 - alpha))
+        return _vector(c * t ** (1.0 - alpha))
 
     return IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: np.atleast_1d(1.0 + 2.0 * t))
+                     exact=lambda t: _vector(1.0 + 2.0 * t))
 
 
 def _manufactured_quadratic(q: float, b: float, alpha: float) -> IVProblem:
@@ -81,10 +90,10 @@ def _manufactured_quadratic(q: float, b: float, alpha: float) -> IVProblem:
     c = (1.0 + q) / q_gamma(3.0 - alpha, q)
 
     def f(t, x):
-        return np.atleast_1d(c * t ** (2.0 - alpha))
+        return _vector(c * t ** (2.0 - alpha))
 
     return IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: np.atleast_1d(t * t + 1.0))
+                     exact=lambda t: _vector(t * t + 1.0))
 
 
 _REGISTRY = {

@@ -8,6 +8,15 @@ solve, step n solves the increment form
     hist_n = S(n) dx^1 + sum_{k=2}^{n-1} G(n-k) dx^k,
 
 for dx^n = x^n - x^{n-1}, with lead_1 = S(1) and lead_n = G(0) after.
+Everything that does not change from step to step is built once per
+solve: the gains Gamma_q(1-alpha) t_n^alpha / lead_n in one array
+operation, the nodes as Python floats (f receives t as a float), and one
+reversed buffer of the history weights G(m)/G(0).  Step n writes
+S(n)/G(0) into the slot just before its G part, so hist_n / lead_n is a
+single dot product over dx^1 .. dx^{n-1}, and puts the slot back after.
+A step then costs that dot product, the start, and per update one call
+of f and a few operations on d-vectors.
+
 A nonlinear step solves the fixed-point equation x = g(x) =
 base + gain f(t_n, x) by Picard updates x <- g(x) with depth-1 Anderson
 mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): while the residuals
@@ -33,12 +42,17 @@ away from it before any secant step could extrapolate back; for regular
 Lipschitz problems the nudge is absorbed in the first update.
 
 A step that fails from the prediction, by exhausting max_fp_iters,
-meeting a non-finite value or an ArithmeticError or ValueError raised by
-f (a prediction may leave f's domain), is solved once more from the
-nudged start before :class:`FixedPointError` is raised; its
-fp_iterations and fp_increment_history then count the updates of both
-attempts.  A non-finite value stops an attempt at once, so a right-hand
-side that is non-finite at t_n costs one call per start.
+going STALL_UPDATES updates in a row without a new least residual (it
+cycles), meeting a non-finite value or an ArithmeticError or ValueError
+raised by f (a prediction may leave f's domain), is solved once more
+from the nudged start, which has the whole max_fp_iters budget, before
+:class:`FixedPointError` is raised; its fp_iterations and
+fp_increment_history then count the updates of both attempts.  A
+non-finite value stops an attempt at once, so a right-hand side that is
+non-finite at t_n costs one call per start.
+
+f(t, x) may return a Python float, a list, a 0-d value broadcast over
+the d components, or an array of shape (d,).
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share no mutable state and may run concurrently.
@@ -55,6 +69,11 @@ import numpy as np
 from .errors import FixedPointError
 from .l1q import QMesh, build_mesh, weight_table
 from .qcore import QFunction, QScale, q_gamma
+
+# Updates in a row without a new least residual after which the attempt
+# from the predicted start gives way to the nudged one; the nudged
+# attempt has the whole max_fp_iters budget.
+STALL_UPDATES = 8
 
 
 @dataclass
@@ -141,26 +160,36 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _march(mesh: QMesh, alpha: float, states: np.ndarray,
-           step: Callable[[int, float, np.ndarray, float], np.ndarray]) -> None:
+           step: Callable[[int, float, np.ndarray, float, np.ndarray], np.ndarray]
+           ) -> None:
     """Fill states[1:] by the increment form of the scheme.
 
-    step(n, t_n, base, gain) returns x^n = base + gain * f^n for the
-    caller's f^n, where base = x^{n-1} - hist_n / lead_n and
-    gain = Gamma_q(1-alpha) t_n^alpha / lead_n.
+    step(n, t_n, base, gain, last) returns x^n = base + gain * f^n for the
+    caller's f^n, where base = x^{n-1} - hist_n / lead_n,
+    gain = Gamma_q(1-alpha) t_n^alpha / lead_n, t_n is a Python float and
+    last = dx^{n-1} (zero at n = 1).
     """
-    table = weight_table(mesh.scale.q, alpha, mesh.N)
-    gamma = q_gamma(1.0 - alpha, mesh.scale.q)
-    dx = np.zeros_like(states)
+    N = mesh.N
+    table = weight_table(mesh.scale.q, alpha, N)
     G, S = table.G, table.S
-    for n in range(1, mesh.N + 1):
-        t_n = mesh.nodes[n]
-        if n == 1:
-            lead, hist = S[1], 0.0
-        else:
-            lead, hist = G[0], S[n] * dx[1] + G[n - 2:0:-1] @ dx[2:n]
-        x = step(n, t_n, states[n - 1] - hist / lead, gamma * t_n ** alpha / lead)
+    lead = np.full(N + 1, G[0])
+    lead[1] = S[1]
+    gains = (q_gamma(1.0 - alpha, mesh.scale.q) * mesh.nodes ** alpha / lead).tolist()
+    nodes = mesh.nodes.tolist()
+    # weights[N-1-m] = G(m)/G(0), so hist_n / lead_n = weights[N-n:N-1] @ dx[1:n]
+    # once slot N-n, which holds G(n-1)/G(0), holds S(n)/G(0) instead.
+    weights = G[::-1] / G[0]
+    kept = weights.tolist()
+    first = (S / G[0]).tolist()
+    dx = np.zeros_like(states)
+    for n in range(1, N + 1):
+        k = N - n
+        weights[k] = first[n]
+        prev = states[n - 1]
+        x = step(n, nodes[n], prev - weights[k:N - 1] @ dx[1:n], gains[n], dx[n - 1])
+        weights[k] = kept[k]
         states[n] = x
-        dx[n] = states[n] - states[n - 1]
+        np.subtract(x, prev, out=dx[n])
 
 
 def solve_ivp(problem: IVProblem, scale: QScale, N: int,
@@ -190,6 +219,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                        residuals=residuals, contraction_L1=L1,
                        fp_increment_history=history)
 
+    f, fp_tol, max_iters = problem.f, config.fp_tol, config.max_fp_iters
     pert = config.start_perturbation
     q = scale.q
     c = 1.0 + q + q * q
@@ -202,18 +232,30 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                                -1.0 / q ** 3, (1.0 + q) / q ** 2]),
                      np.array([q ** -3, -c / q ** 3, c / q ** 2]))
 
-    def attempt(n, t_n, base, gain, x, increments, start):
-        """Update from x until converged; return (g(x), None) or (None, failure)."""
-        for k in range(config.max_fp_iters + 1):
-            gx = base + gain * np.asarray(problem.f(t_n, x), dtype=float)
+    def attempt(n, t_n, base, gain, x, increments, start, patience):
+        """Update from x until converged; return (g(x), None) or (None, failure).
+
+        Gives up once patience updates in a row find no new least residual.
+        """
+        best, since = math.inf, 0
+        for k in range(max_iters + 1):
+            gx = base + gain * np.asarray(f(t_n, x), dtype=float)
             r = gx - x
             inc = _norm(r)
             increments.append(inc)
             if not math.isfinite(inc):
                 return None, (f"non-finite value at step n={n} (t={t_n:.6g}) "
                               f"on update {k + 1} from the {start} start")
-            if inc <= config.fp_tol * (1.0 + _norm(gx)):
+            if inc <= fp_tol * (1.0 + _norm(gx)):
                 return gx, None
+            if inc < best:
+                best, since = inc, 0
+            else:
+                since += 1
+                if since == patience:
+                    return None, (f"fixed-point iteration at step n={n} (t={t_n:.6g}) "
+                                  f"stalled for {patience} updates from the {start} "
+                                  f"start")
             x = gx
             # depth-1 Anderson mixing, only while the residuals shrink
             if k > 0 and inc < increments[-2]:
@@ -223,28 +265,27 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                     x = gx - (dr @ r / dr2) * (gx - gx_prev)
             r_prev, gx_prev = r, gx
         return None, (f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
-                      f"converge within {config.max_fp_iters} updates from the "
-                      f"{start} start")
+                      f"converge within {max_iters} updates from the {start} start")
 
-    def fixed_point(n, t_n, base, gain):
+    def fixed_point(n, t_n, base, gain, last):
         increments: list = []
         history.append(increments)
         prev = states[n - 1]
-        nudged = prev * (1.0 + pert) + pert
+        moved = last.tolist()
         x, after = None, ""
-        if n > 1:
-            moved = prev != states[n - 2]
-            if moved.any():
-                predicted = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
-                if not moved.all():
-                    predicted = np.where(moved, predicted, nudged)
-                after = ", after the predicted start failed"
-                try:
-                    x, _ = attempt(n, t_n, base, gain, predicted, increments, "predicted")
-                except (ArithmeticError, ValueError):
-                    pass    # f raised outside its domain, as math.sqrt does
+        if any(moved):
+            predicted = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
+            if 0.0 in moved:
+                predicted = np.where(last != 0.0, predicted, prev * (1.0 + pert) + pert)
+            after = ", after the predicted start failed"
+            try:
+                x, _ = attempt(n, t_n, base, gain, predicted, increments, "predicted",
+                               STALL_UPDATES)
+            except (ArithmeticError, ValueError):
+                pass    # f raised outside its domain, as math.sqrt does
         if x is None:
-            x, failure = attempt(n, t_n, base, gain, nudged, increments, "nudged")
+            x, failure = attempt(n, t_n, base, gain, prev * (1.0 + pert) + pert,
+                                 increments, "nudged", max_iters + 1)
             if x is None:
                 trace.states = states[:n]
                 raise FixedPointError(failure + after, step=n, trace=trace)
@@ -280,7 +321,8 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
 
     states = np.zeros((N + 1, x0.shape[0]))
     states[0] = x0
-    _march(mesh, alpha, states, lambda n, t_n, base, gain: base + gain * fsamples[n - 1])
+    _march(mesh, alpha, states,
+           lambda n, t_n, base, gain, last: base + gain * fsamples[n - 1])
     return SolveTrace(mesh=mesh, states=states,
                       fp_iterations=np.ones(N, dtype=int),
                       residuals=np.zeros(N))

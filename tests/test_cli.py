@@ -122,6 +122,22 @@ def test_main_invalid_arguments():
                  "--N-list", "6,x", "--delta", "0.5"]) == EXIT_ARGS
 
 
+def test_parser_built_once_and_left_unchanged(capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", "nosuch", "--q", "0.5", "--N", "3"])
+    assert info.value.code == EXIT_ARGS
+    assert capsys.readouterr().err.startswith("usage: qfde solve")
+    # no value of one parse leaks into the next
+    first = parser.parse_args(["solve", "--problem", "example1", "--q", "1/4",
+                               "--alpha", "0.5", "--N", "3", "--format", "csv"])
+    second = parser.parse_args(["solve", "--problem", "example1", "--q", "1/4",
+                                "--N", "3"])
+    assert (first.alpha, first.format) == (0.5, "csv")
+    assert (second.alpha, second.format) == (None, "table")
+
+
 def test_main_solver_failure_writes_partial(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     code = main(["solve", "--problem", "example2", "--q", "2/3", "--N", "5",

@@ -61,3 +61,19 @@ def test_constant_problem():
     problem = make_problem("constant", q=0.5, alpha=0.3)
     assert float(problem.f(0.7, np.array([5.0]))[0]) == 0.0
     assert float(problem.exact(0.9)[0]) == 1.0
+
+
+@pytest.mark.parametrize("name", ["manufactured-linear", "manufactured-quadratic",
+                                  "example2"])
+def test_registry_closures_take_float_numpy_scalar_or_array_t(name):
+    # the solver passes a float; numpy scalars and arrays of t still work
+    problem = make_problem(name, q=0.5, alpha=None if name == "example2" else 0.5)
+    ts = np.array([0.25, 0.5, 1.0])
+    x = problem.exact(ts)
+    assert x.shape == ts.shape
+    for i, t in enumerate(ts):
+        for arg in (float(t), t, np.array(t)):
+            exact, rhs = problem.exact(arg), problem.f(arg, x[i:i + 1])
+            assert exact.shape == rhs.shape == (1,)
+            assert exact[0] == x[i]
+            assert rhs[0] == pytest.approx(problem.f(ts, x)[i], rel=1e-15)

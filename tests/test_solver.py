@@ -16,6 +16,7 @@ from qfde import (
     SolverConfig,
     build_mesh,
     caputo_q_derivative,
+    coefficients,
     contraction_constant,
     error_report,
     make_problem,
@@ -26,7 +27,7 @@ from qfde import (
     truncation_bound,
 )
 from qfde.qcore import tail_terms
-from qfde.solver import rate_constants
+from qfde.solver import STALL_UPDATES, rate_constants
 
 from oracles import mp_l1q_march, mp_l1q_residuals
 
@@ -128,6 +129,65 @@ def test_solve_linear_history_validation():
                                  [0.0, 0.0], 0.5, scale, 3)
         with pytest.raises(ValueError, match="x0 must be finite"):
             solve_linear_history([1.0, 2.0, 3.0], [0.0, bad], 0.5, scale, 3)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.9])
+@pytest.mark.parametrize("N", [1, 2, 300])
+def test_solve_linear_history_matches_plain_increment_form(q, N):
+    # the increment form  sum_k b_k(n) dx^k = Gamma_q(1-alpha) f^n, solved
+    # for dx^n in plain floats with the weights of l1q.coefficients; N = 2
+    # has an empty G(n-k) part, so step 2 reads only the S(n)/G(0) slot
+    alpha = 0.4
+    scale = QScale(q, 1.3)
+    mesh = build_mesh(scale, N)
+    fs = np.random.default_rng(N).uniform(0.5, 1.5, (N, 2))
+    x0 = [1.0, 2.0]
+    gamma = q_gamma(1.0 - alpha, q)
+    dx = [[0.0, 0.0]]
+    states = [x0]
+    for n in range(1, N + 1):
+        b = coefficients(mesh, n, alpha).weights.tolist()
+        dx.append([(gamma * fs[n - 1, i] - sum(b[k - 1] * dx[k][i] for k in range(1, n)))
+                   / b[n - 1] for i in range(2)])
+        states.append([states[-1][i] + dx[n][i] for i in range(2)])
+    got = solve_linear_history(fs, x0, alpha, scale, N).states
+    assert np.max(np.abs(got / np.array(states) - 1.0)) <= 1e-14
+
+
+def test_rhs_may_return_float_list_or_broadcast_value():
+    # f may return a Python float, a list, a 0-d value broadcast over the
+    # d components, or shape (d,); each gives the states of the last form
+    q, alpha, N = 0.5, 0.5, 12
+
+    def solve(f, d):
+        return solve_ivp(IVProblem(f=f, alpha=alpha, x0=np.ones(d)), QScale(q, 1.0), N)
+
+    def scalar(t, x):
+        v = float(x[0])
+        return t - 0.5 * v * v
+
+    for d in (1, 3):
+        ref = solve(lambda t, x: t - 0.5 * x * x, d)
+        forms = [solve(lambda t, x: [t - 0.5 * v * v for v in x], d)]
+        if d == 1:
+            forms.append(solve(scalar, d))
+        for trace in forms:
+            assert np.array_equal(trace.states, ref.states)
+            assert np.array_equal(trace.fp_iterations, ref.fp_iterations)
+    ref = solve(lambda t, x: np.full(3, t), 3)
+    for f in (lambda t, x: t, lambda t, x: np.float64(t), lambda t, x: np.array(t)):
+        assert np.array_equal(solve(f, 3).states, ref.states)
+
+
+def test_rhs_receives_t_as_float():
+    seen = set()
+
+    def f(t, x):
+        seen.add(type(t))
+        return t - x
+
+    solve_ivp(IVProblem(f=f, alpha=0.5, x0=np.ones(2)), QScale(0.5, 1.0), 10)
+    assert seen == {float}
 
 
 def test_stability_bound_values():
@@ -374,9 +434,10 @@ def test_example2_large_N_keeps_nontrivial_branch():
 
 
 def test_fallback_start_solves_where_the_prediction_fails():
-    # L1 = 1.96: from the extrapolated start the last step cycles through
-    # its whole update budget; the re-solve from the nudged previous state
-    # converges, and fp_iterations counts the updates of both attempts.
+    # L1 = 1.96: from the extrapolated start the last step cycles; it gives
+    # way after STALL_UPDATES updates without a new least residual, the
+    # re-solve from the nudged previous state converges, and fp_iterations
+    # counts the updates of both attempts.
     # mp_l1q_march cannot serve as the oracle: its plain Picard iteration
     # stalls at n = 40, so every step's equation is checked instead.
     q, alpha, L, N = 0.125, 0.5, 1.5, 40
@@ -385,7 +446,14 @@ def test_fallback_start_solves_where_the_prediction_fails():
     config = SolverConfig()
     trace = solve_ivp(problem, QScale(q, 1.0), N, config)
     assert trace.contraction_L1 == pytest.approx(1.96, abs=5e-3)
-    assert trace.fp_iterations[-1] > config.max_fp_iters
+    increments = trace.fp_increment_history[-1]
+    least = np.minimum.accumulate(increments)
+    stop = next(k for k in range(STALL_UPDATES, len(increments))
+                if least[k] == least[k - STALL_UPDATES])
+    assert increments[stop] > 1.0                       # predicted attempt cycling
+    assert 0 < len(increments) - 1 - stop < 20          # nudged attempt converged
+    assert increments[-1] <= config.fp_tol * 10.0
+    assert trace.fp_iterations[-1] == len(increments) - 1 < config.max_fp_iters // 5
     residuals = mp_l1q_residuals(q, alpha, lambda t, x: L * mp.sin(x) + t,
                                  trace.states[:, 0])
     assert max(residuals) <= 1e-12
