@@ -105,7 +105,11 @@ def run_solve(spec: ProblemSpec) -> RunRecord:
     On fixed-point failure the raised error carries a partial RunRecord
     in ``error.record``.
     """
-    problem = spec.problem()
+    return _solve(spec, spec.problem())
+
+
+def _solve(spec: ProblemSpec, problem: IVProblem) -> RunRecord:
+    """run_solve with the problem of spec already built."""
     start = time.perf_counter()
     try:
         trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
@@ -205,7 +209,7 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
     max_errs = []
     rate_consts = []
     for N in N_list:
-        record = run_solve(replace(spec, N=N))
+        record = _solve(replace(spec, N=N), problem)
         records.append(record)
         errs = np.array([row[3] for row in record.rows])
         n_cut = int((1.0 - delta) * N)

@@ -12,8 +12,6 @@ relies on it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .qcore import q_gamma
@@ -43,7 +41,7 @@ def _example1(q: float, b: float, alpha: float) -> IVProblem:
     c1 = 1.0 / q_gamma(1.5, q)
 
     def f(t, x):
-        return _vector(c2 * t ** 1.5 + c1 * math.sqrt(t))
+        return _vector(c2 * t ** 1.5 + c1 * np.sqrt(t))
 
     return IVProblem(f=f, alpha=0.5, x0=np.array([1.0]), lipschitz_L=0.0,
                      exact=lambda t: _vector(t * t + t + 1.0))

@@ -15,7 +15,14 @@ reversed buffer of the history weights G(m)/G(0).  Step n writes
 S(n)/G(0) into the slot just before its G part, so hist_n / lead_n is a
 single dot product over dx^1 .. dx^{n-1}, and puts the slot back after.
 A step then costs that dot product, the start, and per update one call
-of f and a few operations on d-vectors.
+of f and a few operations on the state.
+
+The state is a Python float when d = 1 and an array of shape (d,)
+otherwise, chosen once per solve from d: the one update loop is written
+over the few operations that differ (the call of f, the norm, the inner
+product and the start).  f still receives x as a fresh float64 array of
+shape (d,) and t as a float, and for d = 1 its value is read back as one
+float.  Each float operation rounds as numpy's does on one component.
 
 A nonlinear step solves the fixed-point equation x = g(x) =
 base + gain f(t_n, x) by Picard updates x <- g(x) with depth-1 Anderson
@@ -61,6 +68,7 @@ distinct solves share no mutable state and may run concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -159,15 +167,23 @@ def _norm(v: np.ndarray) -> float:
     return total if total != total else max(map(abs, values))
 
 
-def _march(mesh: QMesh, alpha: float, states: np.ndarray,
-           step: Callable[[int, float, np.ndarray, float, np.ndarray], np.ndarray]
-           ) -> None:
+def _same(v):
+    return v
+
+
+def _single(v: float) -> list:
+    return [v]
+
+
+def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> None:
     """Fill states[1:] by the increment form of the scheme.
 
-    step(n, t_n, base, gain, last) returns x^n = base + gain * f^n for the
-    caller's f^n, where base = x^{n-1} - hist_n / lead_n,
-    gain = Gamma_q(1-alpha) t_n^alpha / lead_n, t_n is a Python float and
-    last = dx^{n-1} (zero at n = 1).
+    step(n, t_n, base, gain, prev, last) returns x^n = base + gain * f^n
+    for the caller's f^n, where base = x^{n-1} - hist_n / lead_n,
+    gain = Gamma_q(1-alpha) t_n^alpha / lead_n, t_n is a Python float,
+    prev = x^{n-1} and last = dx^{n-1} (zero at n = 1).  When d = 1 the
+    states are Python floats: base, prev and last are floats and step
+    returns one.  Otherwise they are arrays of shape (d,).
     """
     N = mesh.N
     table = weight_table(mesh.scale.q, alpha, N)
@@ -182,14 +198,20 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray,
     kept = weights.tolist()
     first = (S / G[0]).tolist()
     dx = np.zeros_like(states)
+    if states.shape[1] == 1:
+        state, prev, last = np.ndarray.item, states[0].item(), 0.0
+    else:
+        state, prev, last = _same, states[0], dx[0]
     for n in range(1, N + 1):
         k = N - n
         weights[k] = first[n]
-        prev = states[n - 1]
-        x = step(n, nodes[n], prev - weights[k:N - 1] @ dx[1:n], gains[n], dx[n - 1])
+        hist = state(weights[k:N - 1] @ dx[1:n])
+        x = step(n, nodes[n], prev - hist, gains[n], prev, last)
         weights[k] = kept[k]
         states[n] = x
-        np.subtract(x, prev, out=dx[n])
+        last = x - prev
+        dx[n] = last
+        prev = x
 
 
 def solve_ivp(problem: IVProblem, scale: QScale, N: int,
@@ -232,6 +254,20 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                                -1.0 / q ** 3, (1.0 + q) / q ** 2]),
                      np.array([q ** -3, -c / q ** 3, c / q ** 2]))
 
+    if problem.d == 1:
+        # A scalar state is a Python float; f still receives x as a fresh
+        # array of shape (1,), and its value is read back as one float.
+        def rhs(t, x):
+            v = f(t, np.array([x]))
+            return v if type(v) is float else np.asarray(v, dtype=float).item()
+
+        norm, inner, state, components = abs, operator.mul, np.ndarray.item, _single
+    else:
+        def rhs(t, x):
+            return np.asarray(f(t, x), dtype=float)
+
+        norm, inner, state, components = _norm, operator.matmul, _same, np.ndarray.tolist
+
     def attempt(n, t_n, base, gain, x, increments, start, patience):
         """Update from x until converged; return (g(x), None) or (None, failure).
 
@@ -239,14 +275,14 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
         """
         best, since = math.inf, 0
         for k in range(max_iters + 1):
-            gx = base + gain * np.asarray(f(t_n, x), dtype=float)
+            gx = base + gain * rhs(t_n, x)
             r = gx - x
-            inc = _norm(r)
+            inc = norm(r)
             increments.append(inc)
             if not math.isfinite(inc):
                 return None, (f"non-finite value at step n={n} (t={t_n:.6g}) "
                               f"on update {k + 1} from the {start} start")
-            if inc <= fp_tol * (1.0 + _norm(gx)):
+            if inc <= fp_tol * (1.0 + norm(gx)):
                 return gx, None
             if inc < best:
                 best, since = inc, 0
@@ -260,21 +296,20 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
             # depth-1 Anderson mixing, only while the residuals shrink
             if k > 0 and inc < increments[-2]:
                 dr = r - r_prev
-                dr2 = dr @ dr
+                dr2 = inner(dr, dr)
                 if dr2 > 0.0:
-                    x = gx - (dr @ r / dr2) * (gx - gx_prev)
+                    x = gx - (inner(dr, r) / dr2) * (gx - gx_prev)
             r_prev, gx_prev = r, gx
         return None, (f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
                       f"converge within {max_iters} updates from the {start} start")
 
-    def fixed_point(n, t_n, base, gain, last):
+    def fixed_point(n, t_n, base, gain, prev, last):
         increments: list = []
         history.append(increments)
-        prev = states[n - 1]
-        moved = last.tolist()
+        moved = components(last)
         x, after = None, ""
         if any(moved):
-            predicted = extrapolation[min(n, 4)] @ states[max(n - 3, 0):n]
+            predicted = state(extrapolation[min(n, 4)] @ states[max(n - 3, 0):n])
             if 0.0 in moved:
                 predicted = np.where(last != 0.0, predicted, prev * (1.0 + pert) + pert)
             after = ", after the predicted start failed"
@@ -321,8 +356,11 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
 
     states = np.zeros((N + 1, x0.shape[0]))
     states[0] = x0
+    # a scalar march carries floats (see _march)
+    forcing = (fsamples[:, 0].tolist() if states.shape[1] == fsamples.shape[1] == 1
+               else fsamples)
     _march(mesh, alpha, states,
-           lambda n, t_n, base, gain, last: base + gain * fsamples[n - 1])
+           lambda n, t_n, base, gain, prev, last: base + gain * forcing[n - 1])
     return SolveTrace(mesh=mesh, states=states,
                       fp_iterations=np.ones(N, dtype=int),
                       residuals=np.zeros(N))

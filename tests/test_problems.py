@@ -64,10 +64,10 @@ def test_constant_problem():
 
 
 @pytest.mark.parametrize("name", ["manufactured-linear", "manufactured-quadratic",
-                                  "example2"])
+                                  "example1", "example2"])
 def test_registry_closures_take_float_numpy_scalar_or_array_t(name):
     # the solver passes a float; numpy scalars and arrays of t still work
-    problem = make_problem(name, q=0.5, alpha=None if name == "example2" else 0.5)
+    problem = make_problem(name, q=0.5, alpha=None if name.startswith("example") else 0.5)
     ts = np.array([0.25, 0.5, 1.0])
     x = problem.exact(ts)
     assert x.shape == ts.shape

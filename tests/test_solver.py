@@ -180,14 +180,31 @@ def test_rhs_may_return_float_list_or_broadcast_value():
 
 
 def test_rhs_receives_t_as_float():
-    seen = set()
+    # a scalar solve carries its state as a float, but f still gets an array x
+    for d in (1, 3):
+        seen = set()
 
-    def f(t, x):
-        seen.add(type(t))
-        return t - x
+        def f(t, x):
+            seen.add((type(t), type(x), x.dtype, x.shape))
+            return t - x
 
-    solve_ivp(IVProblem(f=f, alpha=0.5, x0=np.ones(2)), QScale(0.5, 1.0), 10)
-    assert seen == {float}
+        solve_ivp(IVProblem(f=f, alpha=0.5, x0=np.ones(d)), QScale(0.5, 1.0), 10)
+        assert seen == {(float, np.ndarray, np.dtype(np.float64), (d,))}
+
+
+@pytest.mark.parametrize("name, q, N", [("example2", 0.25, 32),
+                                        ("example2", 2.0 / 3.0, 70),
+                                        ("manufactured-quadratic", 0.9, 260)])
+def test_scalar_solve_matches_stacked_vector_solve(name, q, N):
+    # the float state of a d = 1 solve and the array state of d = 2 give
+    # the same bits: each component of the stacked solve is the scalar one
+    base = make_problem(name, q=q, alpha=2.0 / 3.0)
+    scale = QScale(q, 1.0)
+    scalar = solve_ivp(base, scale, N)
+    stacked = solve_ivp(IVProblem(f=base.f, alpha=base.alpha, x0=np.ones(2)), scale, N)
+    for i in range(2):
+        assert np.array_equal(stacked.states[:, i], scalar.states[:, 0])
+    assert np.array_equal(stacked.fp_iterations, scalar.fp_iterations)
 
 
 def test_stability_bound_values():
