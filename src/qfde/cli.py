@@ -83,16 +83,21 @@ class RunRecord:
 
 def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
                        problem: IVProblem, wall: float) -> RunRecord:
-    rows = []
+    """Rows of the solved nodes (all of a failed solve's truncated trace).
+
+    Reads component 0.  The exact solution is called once on the node
+    array: registry closures keep the shape of an array t.
+    """
     solved = trace.states.shape[0] - 1
-    for n in range(1, solved + 1):
-        t_n = float(trace.mesh.nodes[n])
-        x_num = float(trace.states[n][0])
-        x_exact = abs_err = None
-        if problem.exact is not None:
-            x_exact = float(np.atleast_1d(problem.exact(t_n))[0])
-            abs_err = abs(x_exact - x_num)
-        rows.append((t_n, x_num, x_exact, abs_err, int(trace.fp_iterations[n - 1])))
+    nodes = trace.mesh.nodes[1:solved + 1]
+    x_num = trace.states[1:, 0]
+    if problem.exact is None:
+        x_exact = abs_err = [None] * solved
+    else:
+        exact = np.asarray(problem.exact(nodes), dtype=float)
+        x_exact, abs_err = exact.tolist(), np.abs(exact - x_num).tolist()
+    rows = list(zip(nodes.tolist(), x_num.tolist(), x_exact, abs_err,
+                    trace.fp_iterations[:solved].tolist()))
     meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
             "N": spec.N, "b": spec.b, "config": spec.config,
             "wall_time_s": wall}

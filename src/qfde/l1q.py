@@ -16,11 +16,17 @@ Hypergeometric Series*, 2nd ed., ch. 1):
 
 :func:`weight_table` builds G, S and the gaps of the weight chain for
 every distance at once from downward recurrences, so one table serves
-every node of every mesh with that q and alpha.
+every node of every mesh with that q and alpha.  The solver and
+:func:`coefficients` read the tables of the TABLES_KEPT most recently used
+(q, alpha) from one store per process.  A table is never written after it
+is built, and a slice of a larger one equals a fresh build of the smaller
+one bit for bit, so what a call reads does not depend on the calls before
+it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +133,15 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
         S(n)   = (1-q) G(n-1) + q S(n+1),
         R(n)   = D(n-1) + q R(n+1),
 
-    carrying G - 1 and D in units of q^m, and S - 1 and R in units of
-    q^(n-1).  Each is then a sum of positive terms, free of cancellation,
-    and of order 1, so none underflows where q^m does.  The pass starts
-    from the leading terms of the tail sums, whose relative error is
-    O(q^M) <= 1e-14, and damps that error by q per step.
+    carrying G - 1 and D in units of q^m, S - 1 in units of q^(n-1), and
+    R in units of q^(n-1) with its limit c/(1-q^2), c = q^(-alpha) - 1,
+    split off and the rest in units of q^(2(n-1)).  Each is then a sum of
+    positive terms, free of cancellation, and of order 1, so none
+    underflows where q^m does.  The pass starts from the leading terms of
+    the tail sums, whose relative error is O(q^M) <= 1e-14; each enters
+    its weight scaled by q^m, so it stays below an ulp of every entry, and
+    a larger table holds the same entries bit for bit (the tests check
+    sizes on both sides of T).
 
     The strict chain t_n^(-alpha) < b_1 < ... < b_n, that is D > 0 and
     S - 1 > 0, is asserted on the scaled values as a corruption detector.
@@ -153,18 +163,19 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     g = [0.0] * size          # (G(m) - 1)/q^m
     d = [0.0] * (size + 1)    # D(m)/q^m
     e = [0.0] * (size + 1)    # (S(n) - 1)/q^(n-1)
-    r = [0.0] * (size + 2)    # R(n)/q^(n-1)
+    v = [0.0] * (size + 2)    # (R(n)/q^(n-1) - c/(1-q^2))/q^(n-1)
     g_m = c * q / (1.0 - q)
     e_m = c * q / (1.0 - qq)
-    r_m = c / (1.0 - qq)
+    v_m = c * (g_m + 1.0 + c) / (1.0 - qq * q)
     for m, q_m, den_m in zip(range(M, 0, -1), memoryview(qm)[M:0:-1],
                              memoryview(den)[M:0:-1]):
         d_m = (1.0 + q_m * g_m) * c / den_m
+        # (d_m - c)/q^m = c (g_m + q^-alpha)/den_m, with q^-alpha = 1 + c
+        v_m = c * (g_m + 1.0 + c) / den_m + qq * q * v_m
         g_m = q * (g_m + d_m)
         e_m = (1.0 - q) * g_m + qq * e_m
-        r_m = d_m + qq * r_m
         if m <= size:
-            d[m], g[m - 1], e[m], r[m + 1] = d_m, g_m, e_m, r_m
+            d[m], g[m - 1], e[m], v[m + 1] = d_m, g_m, e_m, v_m
     d_used = np.array(d[1:size])
     e_used = np.array(e[1:size + 1])
     if not (np.all(d_used > 0.0) and np.all(e_used > 0.0)):
@@ -174,20 +185,50 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     G = 1.0 + qm[:size] * np.array(g[:size])
     D = np.concatenate(([0.0], qm[1:size] * d_used))
     S = np.concatenate(([0.0], 1.0 + qm[:size] * e_used))
-    R = np.concatenate(([0.0, 0.0], qm[1:size] * np.array(r[2:size + 1])))
+    q_n = qm[1:size]      # q^(n-1), n = 2..size
+    R = np.concatenate(([0.0, 0.0],
+                        q_n * (c / (1.0 - qq) + q_n * np.array(v[2:size + 1]))))
     return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S, R=R)
+
+
+# Weight tables kept per process, keyed on (q, alpha), least recently used
+# first.  The benchmark workloads use four keys; a table takes 32 bytes per
+# entry (about 10 KB at N = 300, 6 MB at N = 200,000).
+TABLES_KEPT = 4
+_tables: dict = {}
+_tables_lock = threading.Lock()
+
+
+def _table(q: float, alpha: float, size: int) -> WeightTable:
+    """The kept weight table of (q, alpha), with at least size entries.
+
+    A miss builds one of the given size; a kept table that is too small is
+    rebuilt at max(size, twice its size), so a run of growing requests
+    builds O(log N) tables.  Sizes never follow T(q): a solve at q = 0.9999
+    and N = 10 keeps 10 entries.
+    """
+    key = (q, alpha)
+    with _tables_lock:
+        table = _tables.pop(key, None)
+        if table is None or len(table.G) < size:
+            table = weight_table(q, alpha, size if table is None
+                                 else max(size, 2 * len(table.G)))
+        _tables[key] = table    # now the most recently used
+        while len(_tables) > TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+    return table
 
 
 def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
     """Weights b_1 .. b_n for target node n, and the gaps of their chain.
 
-    Read off a fresh :func:`weight_table` of size n and scaled by
+    Read off the kept weight table of (q, alpha) and scaled by
     t_n^(-alpha); the table asserts the strict chain
     t_n^(-alpha) < b_1 < ... < b_n.
     """
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
-    table = weight_table(mesh.scale.q, alpha, n)
+    table = _table(mesh.scale.q, alpha, n)
     scale = mesh.nodes[n] ** (-alpha)
     weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
     gaps = scale * np.concatenate((table.R[n:n + 1] if n >= 2 else [],

@@ -67,9 +67,9 @@ def _example2(q: float, b: float, alpha: float) -> IVProblem:
 
 def _constant(q: float, b: float, alpha: float) -> IVProblem:
     """f = 0 with x0 = 1; the solution stays constant."""
-    return IVProblem(f=lambda t, x: np.zeros(1), alpha=alpha,
+    return IVProblem(f=lambda t, x: _vector(0.0 * t), alpha=alpha,
                      x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: np.array([1.0]))
+                     exact=lambda t: _vector(1.0 + 0.0 * t))
 
 
 def _manufactured_linear(q: float, b: float, alpha: float) -> IVProblem:

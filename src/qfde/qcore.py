@@ -7,7 +7,8 @@ product ratio otherwise), the q-gamma and q-beta functions, Jackson's
 q-integral and the q-derivative with its iterated closed form.
 
 All values are plain doubles, and the operations are pure functions,
-safe for concurrent use.  The infinite sums and products stop at a
+safe for concurrent use; :func:`q_gamma` keeps its GAMMAS_KEPT most
+recently used values per process.  The infinite sums and products stop at a
 relative tolerance of REL_TOL = 1e-14.  How many terms that takes is
 fixed by q: the terms decay like q^m, so T(q) = ceil(ln(REL_TOL)/ln q)
 of them reach the tolerance (Gasper & Rahman, *Basic Hypergeometric
@@ -22,6 +23,7 @@ NonConvergenceError before its loop starts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,6 +54,7 @@ class QScale:
 REL_TOL = 1e-14        # relative truncation tolerance of every series
 MIN_TERMS = 10_000     # floor of the term budget of every loop
 MAX_TAIL = 2 ** 20     # largest T(q) accepted: bounds the work of a loop
+GAMMAS_KEPT = 256      # q_gamma values kept per process
 
 _TINY = np.finfo(float).tiny
 
@@ -155,6 +158,7 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
         f"at q={q!r}")
 
 
+@functools.lru_cache(maxsize=GAMMAS_KEPT)
 def q_gamma(alpha: float, q: float) -> float:
     """q-gamma function, Gamma_q(alpha) = (1 - q)^(alpha-1) * (1 - q)^(1-alpha).
 

@@ -1,8 +1,9 @@
 """Implicit time stepping for the q-fractional initial value problem.
 
 With the weights b_k(n) = t_n^(-alpha) G(n-k) (k >= 2) and
-b_1(n) = t_n^(-alpha) S(n) of one :class:`~qfde.l1q.WeightTable` per
-solve, step n solves the increment form
+b_1(n) = t_n^(-alpha) S(n) read off the process's kept
+:class:`~qfde.l1q.WeightTable` of (q, alpha), step n solves the increment
+form
 
     lead_n dx^n = Gamma_q(1-alpha) t_n^alpha f(t_n, x^n) - hist_n,
     hist_n = S(n) dx^1 + sum_{k=2}^{n-1} G(n-k) dx^k,
@@ -10,19 +11,22 @@ solve, step n solves the increment form
 for dx^n = x^n - x^{n-1}, with lead_1 = S(1) and lead_n = G(0) after.
 Everything that does not change from step to step is built once per
 solve: the gains Gamma_q(1-alpha) t_n^alpha / lead_n in one array
-operation, the nodes as Python floats (f receives t as a float), and one
-reversed buffer of the history weights G(m)/G(0).  Step n writes
-S(n)/G(0) into the slot just before its G part, so hist_n / lead_n is a
-single dot product over dx^1 .. dx^{n-1}, and puts the slot back after.
+operation (Gamma_q itself once per process), the nodes as Python floats
+(f receives t as a float), and one reversed buffer of the history
+weights G(m)/G(0).  Step n writes S(n)/G(0) into the slot just before
+its G part, so hist_n / lead_n is a single dot product over
+dx^1 .. dx^{n-1}, and puts the slot back after.
 A step then costs that dot product, the start, and per update one call
 of f and a few operations on the state.
 
 The state is a Python float when d = 1 and an array of shape (d,)
 otherwise, chosen once per solve from d: the one update loop is written
 over the few operations that differ (the call of f, the norm, the inner
-product and the start).  f still receives x as a fresh float64 array of
-shape (d,) and t as a float, and for d = 1 its value is read back as one
-float.  Each float operation rounds as numpy's does on one component.
+product and the start); for d = 1 the march and the start read and
+write the one column of the states and increments as 1-D views.  f
+still receives x as a fresh float64 array of shape (d,) and t as a
+float, and for d = 1 its value is read back as one float.  Each float
+operation rounds as numpy's does on one component.
 
 A nonlinear step solves the fixed-point equation x = g(x) =
 base + gain f(t_n, x) by Picard updates x <- g(x) with depth-1 Anderson
@@ -62,7 +66,8 @@ f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
 
 Norms are max-norms throughout.  A single solve is sequential in n;
-distinct solves share no mutable state and may run concurrently.
+distinct solves share only read-only weight tables and cached values of
+Gamma_q, and may run concurrently.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FixedPointError
-from .l1q import QMesh, build_mesh, weight_table
+from .l1q import QMesh, _table, build_mesh
 from .qcore import QFunction, QScale, q_gamma
 
 # Updates in a row without a new least residual after which the attempt
@@ -186,8 +191,8 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> Non
     returns one.  Otherwise they are arrays of shape (d,).
     """
     N = mesh.N
-    table = weight_table(mesh.scale.q, alpha, N)
-    G, S = table.G, table.S
+    table = _table(mesh.scale.q, alpha, N)
+    G, S = table.G[:N], table.S[:N + 1]
     lead = np.full(N + 1, G[0])
     lead[1] = S[1]
     gains = (q_gamma(1.0 - alpha, mesh.scale.q) * mesh.nodes ** alpha / lead).tolist()
@@ -199,7 +204,8 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> Non
     first = (S / G[0]).tolist()
     dx = np.zeros_like(states)
     if states.shape[1] == 1:
-        state, prev, last = np.ndarray.item, states[0].item(), 0.0
+        states, dx = states[:, 0], dx[:, 0]
+        state, prev, last = float, float(states[0]), 0.0
     else:
         state, prev, last = _same, states[0], dx[0]
     for n in range(1, N + 1):
@@ -261,12 +267,14 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
             v = f(t, np.array([x]))
             return v if type(v) is float else np.asarray(v, dtype=float).item()
 
-        norm, inner, state, components = abs, operator.mul, np.ndarray.item, _single
+        norm, inner, state, components = abs, operator.mul, float, _single
+        path = states[:, 0]
     else:
         def rhs(t, x):
             return np.asarray(f(t, x), dtype=float)
 
         norm, inner, state, components = _norm, operator.matmul, _same, np.ndarray.tolist
+        path = states
 
     def attempt(n, t_n, base, gain, x, increments, start, patience):
         """Update from x until converged; return (g(x), None) or (None, failure).
@@ -309,7 +317,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
         moved = components(last)
         x, after = None, ""
         if any(moved):
-            predicted = state(extrapolation[min(n, 4)] @ states[max(n - 3, 0):n])
+            predicted = state(extrapolation[min(n, 4)] @ path[max(n - 3, 0):n])
             if 0.0 in moved:
                 predicted = np.where(last != 0.0, predicted, prev * (1.0 + pert) + pert)
             after = ", after the predicted start failed"

@@ -1,6 +1,9 @@
 """Unit tests for the geometric mesh and the difference-formula weights."""
 
 import math
+import random
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -9,6 +12,7 @@ import pytest
 
 from qfde import (
     QScale,
+    l1q,
     build_mesh,
     caputo_q_derivative,
     coefficients,
@@ -313,6 +317,70 @@ def test_weight_table_memory_follows_size():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("q, alpha, small, big", [
+    (0.25, 2.0 / 3.0, 32, 60), (0.25, 0.5, 30, 538), (2.0 / 3.0, 2.0 / 3.0, 85, 200),
+    (0.9, 0.3, 300, 400), (0.9, 0.3, 311, 612), (0.5, 0.1, 48, 52),
+    (0.9, 0.5, 10, 40)])
+def test_weight_table_slice_equals_smaller_build(q, alpha, small, big):
+    # T(q) = 24, 80, 306 and 47: the sizes fall on both sides of it, so
+    # the downward passes start at different tail indices
+    sliced, fresh = weight_table(q, alpha, big), weight_table(q, alpha, small)
+    for name in "GDSR":
+        want = getattr(fresh, name)
+        assert np.array_equal(getattr(sliced, name)[:len(want)], want), name
+
+
+def test_coefficients_do_not_depend_on_the_kept_table(monkeypatch):
+    # coefficients() reads the process's kept table of (q, alpha): a table
+    # built for n alone and one grown far past T(0.9) = 306 give the same bits
+    mesh = build_mesh(QScale(0.9, 1.0), 700)
+    alone = {}
+    for n in (2, 300, 306, 311):
+        monkeypatch.setattr(l1q, "_tables", {})
+        alone[n] = coefficients(mesh, n, 0.3)
+        assert len(l1q._tables[(0.9, 0.3)].G) == n
+    coefficients(mesh, 700, 0.3)
+    assert len(l1q._tables[(0.9, 0.3)].G) == 700
+    for n, c in alone.items():
+        again = coefficients(mesh, n, 0.3)
+        assert np.array_equal(again.weights, c.weights)
+        assert np.array_equal(again.gaps, c.gaps)
+
+
+def test_kept_tables_under_concurrent_use(monkeypatch):
+    # more threads than cores, switching often, over more keys than are
+    # kept: every read equals a fresh build and the store stays bounded
+    monkeypatch.setattr(l1q, "_tables", {})
+    keys = [(q, a) for q in (0.25, 0.5, 2.0 / 3.0) for a in (0.3, 0.6)]
+    want = {key: weight_table(*key, 64) for key in keys}
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(200):
+                key, size = rng.choice(keys), rng.randint(1, 64)
+                table = l1q._table(*key, size)
+                assert np.array_equal(table.G[:size], want[key].G[:size])
+                assert np.array_equal(table.S[:size + 1], want[key].S[:size + 1])
+        except Exception as exc:    # collected for the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(l1q._tables) == l1q.TABLES_KEPT
 
 
 @pytest.mark.parametrize("q, alpha, n", [(0.25, 0.5, 7), (2.0 / 3.0, 2.0 / 3.0, 30),

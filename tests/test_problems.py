@@ -64,7 +64,7 @@ def test_constant_problem():
 
 
 @pytest.mark.parametrize("name", ["manufactured-linear", "manufactured-quadratic",
-                                  "example1", "example2"])
+                                  "example1", "example2", "constant"])
 def test_registry_closures_take_float_numpy_scalar_or_array_t(name):
     # the solver passes a float; numpy scalars and arrays of t still work
     problem = make_problem(name, q=0.5, alpha=None if name.startswith("example") else 0.5)

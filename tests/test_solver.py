@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qfde import (
     FixedPointError,
+    l1q,
     IVProblem,
     QScale,
     SolverConfig,
@@ -311,6 +312,38 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.fp_iterations, b.fp_iterations)
     assert np.array_equal(a.residuals, b.residuals)
+
+
+def test_solve_unchanged_by_a_larger_solve_before_it(monkeypatch):
+    # the N = 400 solve grows the kept weight table of (q, alpha) past
+    # T(0.9) = 306, and the N = 40 solve after it reads a slice of that
+    monkeypatch.setattr(l1q, "_tables", {})
+    problem = make_problem("example2", q=0.9)
+    scale = QScale(0.9, 1.0)
+    before = solve_ivp(problem, scale, 40)
+    solve_ivp(problem, scale, 400)
+    assert len(l1q._tables[(0.9, 2.0 / 3.0)].G) >= 400
+    after = solve_ivp(problem, scale, 40)
+    for name in ("states", "fp_iterations", "residuals"):
+        assert np.array_equal(getattr(after, name), getattr(before, name))
+
+
+def test_kept_weight_tables_are_bounded(monkeypatch):
+    monkeypatch.setattr(l1q, "_tables", {})
+    scale = QScale(0.5, 1.0)
+    alphas = np.linspace(0.1, 0.9, l1q.TABLES_KEPT + 3).tolist()
+    for alpha in alphas:
+        solve_ivp(make_problem("manufactured-linear", q=0.5, alpha=alpha), scale, 20)
+    assert list(l1q._tables) == [(0.5, a) for a in alphas[-l1q.TABLES_KEPT:]]
+
+
+def test_kept_weight_table_follows_N_not_the_tail(monkeypatch):
+    # the pass runs down from T(0.9999) = 322,346, but the solve keeps only
+    # the entries it reads
+    monkeypatch.setattr(l1q, "_tables", {})
+    solve_ivp(make_problem("manufactured-quadratic", q=0.9999, alpha=0.5),
+              QScale(0.9999, 1.0), 10)
+    assert len(l1q._tables[(0.9999, 0.5)].G) < 64
 
 
 def test_vector_problem_componentwise():
