@@ -16,12 +16,14 @@ Hypergeometric Series*, 2nd ed., ch. 1):
 
 :func:`weight_table` builds G, S and the gaps of the weight chain for
 every distance at once from downward recurrences, so one table serves
-every node of every mesh with that q and alpha.  The solver and
-:func:`coefficients` read the tables of the TABLES_KEPT most recently used
-(q, alpha) from one store per process.  A table is never written after it
-is built, and a slice of a larger one equals a fresh build of the smaller
-one bit for bit, so what a call reads does not depend on the calls before
-it.
+every node of every mesh with that q and alpha.  G is also the kernel of
+the lattice operators: (t - q s)^(-alpha) = t^(-alpha) G(j) at the Jackson
+points s = t q^j.  The solver, :func:`coefficients` and the fractional
+integral of :mod:`qfde.qfrac` read the tables of the TABLES_KEPT most
+recently used (q, alpha) from one store per process.  A table is never
+written after it is built, and a slice of a larger one equals a fresh
+build of the smaller one bit for bit, so what a call reads does not
+depend on the calls before it.
 """
 
 from __future__ import annotations
@@ -153,17 +155,19 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     if size < 1:
         raise ValueError(f"weight table needs size >= 1, got {size}")
     M = max(size, tail_terms(q))
-    # Only the powers span the tail (16 bytes per term); the lists stop at size.
+    # Only the powers span the tail (16 bytes per term).  The scaled values
+    # are written into the four arrays returned, and scaled back in place.
     qm = np.arange(M + 1, dtype=float)
     den = qm - alpha
     np.subtract(1.0, np.power(q, den, out=den), out=den)
     np.power(q, qm, out=qm)
     c = q ** -alpha - 1.0
     qq = q * q
-    g = [0.0] * size          # (G(m) - 1)/q^m
-    d = [0.0] * (size + 1)    # D(m)/q^m
-    e = [0.0] * (size + 1)    # (S(n) - 1)/q^(n-1)
-    v = [0.0] * (size + 2)    # (R(n)/q^(n-1) - c/(1-q^2))/q^(n-1)
+    G = np.zeros(size)        # (G(m) - 1)/q^m
+    D = np.zeros(size + 1)    # D(m)/q^m
+    S = np.zeros(size + 1)    # (S(n) - 1)/q^(n-1)
+    R = np.zeros(size + 2)    # (R(n)/q^(n-1) - c/(1-q^2))/q^(n-1)
+    g, d, e, v = map(memoryview, (G, D, S, R))
     g_m = c * q / (1.0 - q)
     e_m = c * q / (1.0 - qq)
     v_m = c * (g_m + 1.0 + c) / (1.0 - qq * q)
@@ -176,24 +180,28 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
         e_m = (1.0 - q) * g_m + qq * e_m
         if m <= size:
             d[m], g[m - 1], e[m], v[m + 1] = d_m, g_m, e_m, v_m
-    d_used = np.array(d[1:size])
-    e_used = np.array(e[1:size + 1])
-    if not (np.all(d_used > 0.0) and np.all(e_used > 0.0)):
+    D, R = D[:size], R[:size + 1]
+    if not (np.all(D[1:] > 0.0) and np.all(S[1:] > 0.0)):
         raise MonotonicityError(
             f"weight chain t_n^-alpha < b_1 < ... < b_n violated for "
             f"q={q!r}, alpha={alpha!r} (check the truncation tolerance)")
-    G = 1.0 + qm[:size] * np.array(g[:size])
-    D = np.concatenate(([0.0], qm[1:size] * d_used))
-    S = np.concatenate(([0.0], 1.0 + qm[:size] * e_used))
+    G *= qm[:size]
+    G += 1.0
+    D[1:] *= qm[1:size]
+    S[1:] *= qm[:size]
+    S[1:] += 1.0
     q_n = qm[1:size]      # q^(n-1), n = 2..size
-    R = np.concatenate(([0.0, 0.0],
-                        q_n * (c / (1.0 - qq) + q_n * np.array(v[2:size + 1]))))
+    R[2:] *= q_n
+    R[2:] += c / (1.0 - qq)
+    R[2:] *= q_n
     return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S, R=R)
 
 
 # Weight tables kept per process, keyed on (q, alpha), least recently used
-# first.  The benchmark workloads use four keys; a table takes 32 bytes per
-# entry (about 10 KB at N = 300, 6 MB at N = 200,000).
+# first.  The solver workloads of the benchmark use four keys; lattice-ops
+# keeps two per q live (the Caputo derivative's alpha and the integral's
+# 1 - alpha), six per round.  A table takes 32 bytes per entry (about
+# 10 KB at N = 300, 1 MB at T(0.999) = 32,221, 6 MB at N = 200,000).
 TABLES_KEPT = 4
 _tables: dict = {}
 _tables_lock = threading.Lock()
@@ -204,8 +212,9 @@ def _table(q: float, alpha: float, size: int) -> WeightTable:
 
     A miss builds one of the given size; a kept table that is too small is
     rebuilt at max(size, twice its size), so a run of growing requests
-    builds O(log N) tables.  Sizes never follow T(q): a solve at q = 0.9999
-    and N = 10 keeps 10 entries.
+    builds O(log N) tables.  A solve asks for N entries, so a solve at
+    q = 0.9999 and N = 10 keeps 10; a lattice operator asks for T(q), the
+    distance past which G = 1 to REL_TOL.
     """
     key = (q, alpha)
     with _tables_lock:

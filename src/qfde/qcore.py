@@ -116,7 +116,7 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
     """(t - s)^(alpha) for real alpha, 0 <= s <= t, t > 0.
 
     Nonnegative integer alpha routes to the exact finite product; other
-    orders (including the negative ones used by the fractional kernels)
+    orders (including the negative ones of q-gamma and q-beta)
     use the truncated product
 
         t^alpha * prod_{i>=0} (t - q^i s)/(t - q^(alpha+i) s),
@@ -178,7 +178,9 @@ def q_gamma(alpha: float, q: float) -> float:
 def q_integral_zero(f: QFunction, x: float, q: float):
     """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n).
 
-    Stops once three consecutive terms fall below REL_TOL times the
+    f is called once per lattice point, at s = x q^n in order n = 0, 1, ...;
+    the fractional integral of :mod:`qfde.qfrac` reads its kernel by that
+    order.  Stops once three consecutive terms fall below REL_TOL times the
     running sum (guarding against f vanishing at isolated lattice
     points).
     """

@@ -3,23 +3,28 @@
 All three operators start at the lower limit 0, the only one the
 difference scheme uses.  The fractional integral is the Jackson
 quadrature from :mod:`qfde.qcore` of the kernel (t - qs)^(alpha-1),
-sampled exactly at the lattice points s = t q^n through the shifted
-factorial, never through interpolation.  Both derivatives are built from
-it (Annaby & Mansour, *q-Fractional Calculus and Equations*, LNM 2056,
-2012): the Caputo derivative is I^(1-alpha) D_q f and the
-Riemann-Liouville derivative is D_q I^(1-alpha) f.
+sampled exactly at the lattice points s = t q^j, never through
+interpolation.  For 0 < alpha < 1 the kernel there is t^(alpha-1) G(j),
+with G the q-Pochhammer ratio of the kept (q, 1-alpha) weight table of
+:mod:`qfde.l1q`; higher orders take the shifted factorial.  Both
+derivatives are built from the integral (Annaby & Mansour,
+*q-Fractional Calculus and Equations*, LNM 2056, 2012): the Caputo
+derivative is I^(1-alpha) D_q f and the Riemann-Liouville derivative is
+D_q I^(1-alpha) f.
 """
 
 from __future__ import annotations
 
-from .qcore import (QFunction, q_derivative, q_gamma, q_integral_zero,
-                    shifted_factorial_real)
+from .l1q import _table
+from .qcore import (QFunction, _check_q, q_derivative, q_gamma,
+                    q_integral_zero, shifted_factorial_real, tail_terms)
 
 
 def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
     """Riemann-Liouville q-fractional integral of order alpha > 0 at t.
 
     (1/Gamma_q(alpha)) * int_0^t (t - qs)^(alpha-1) f(s) d_q s.
+    f may return a float or an array; the result has its shape.
     """
     if alpha <= 0.0:
         raise ValueError(f"fractional integral needs alpha > 0, got {alpha}")
@@ -27,6 +32,14 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
         raise ValueError(f"fractional integral needs t >= 0, got {t}")
     if t == 0.0:
         return 0.0
+    order = 1.0 - alpha     # rounds to 1 for alpha below 1.1e-16
+    if 0.0 < order < 1.0:
+        # The Jackson loop samples s = t q^j in order j = 0, 1, ...: the
+        # kernel there is t^(alpha-1) G(j), and G(j) = 1 to REL_TOL past T(q).
+        _check_q(q)
+        kernel = iter(_table(q, order, tail_terms(q)).G.tolist())
+        total = q_integral_zero(lambda s: next(kernel, 1.0) * f(s), t, q)
+        return t ** (alpha - 1.0) * total / q_gamma(alpha, q)
 
     def integrand(s: float):
         return shifted_factorial_real(t, q * s, alpha - 1.0, q) * f(s)

@@ -1,16 +1,20 @@
 """Unit tests for the fractional q-operators."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qfde import (
     caputo_q_derivative,
     frac_q_integral,
     q_gamma,
+    q_integral_zero,
+    qfrac,
     rl_q_derivative,
 )
+from qfde.qcore import REL_TOL
 
-from oracles import mp_caputo, mp_frac_integral
+from oracles import mp_caputo, mp_frac_integral, mp_qgamma
 
 
 def test_frac_integral_values():
@@ -125,3 +129,56 @@ def test_frac_integral_against_live_oracle():
     got = frac_q_integral(lambda t: t * t, 0.3, 0.9, 0.6)
     ref = float(mp_frac_integral(lambda s: s * s, mp.mpf("0.3"), 0.9, 0.6))
     assert got == pytest.approx(ref, rel=1e-11)
+
+
+def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
+    # for 0 < order < 1 the kernel at s = t q^j is t^(order-1) G(j) of the
+    # kept weight table; the truncated product is left to orders >= 1
+    calls = []
+    product = qfrac.shifted_factorial_real
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(qfrac, "shifted_factorial_real", counted)
+    f = lambda s: s * s + 1.0
+    frac_q_integral(f, 0.4, 0.9, 0.7)
+    caputo_q_derivative(f, 0.4, 0.9, 0.7)
+    assert calls == []
+    for x in (0.3, 1.0):
+        assert frac_q_integral(f, 1.0, x, 0.5) == pytest.approx(
+            q_integral_zero(f, x, 0.5), rel=1e-15)
+    assert calls
+
+
+def test_frac_integral_rejects_a_bad_scale_index():
+    for q in (0.0, 1.0, 1.5, float("nan")):
+        for alpha in (0.5, 1.5):
+            with pytest.raises(ValueError):
+                frac_q_integral(lambda s: s, alpha, 1.0, q)
+
+
+def test_caputo_of_square_root_near_q_one():
+    # D^(1/2) s^(1/2) = Gamma_q(3/2) at t = 1.  The Jackson terms of
+    # D_q s^(1/2) fall like q^(j/2), so the loop stops at term j = 2 T(q)
+    # and leaves a tail of REL_TOL q^(1/2)/(1 - q^(1/2)) = 2.0e-12 relative
+    # (measured 2.03e-12); the stop rule, not the kernel, sets the tolerance
+    q = 0.99
+    ref = float(mp_qgamma(1.5, q, terms=20_000))
+    got = caputo_q_derivative(lambda s: s ** 0.5, 0.5, 1.0, q)
+    tail = REL_TOL * q ** 0.5 / (1.0 - q ** 0.5)
+    assert got == pytest.approx(ref, rel=1e-12 + tail)
+
+
+@pytest.mark.parametrize("op, alpha", [(frac_q_integral, 0.3), (frac_q_integral, 1.5),
+                                       (caputo_q_derivative, 0.7)])
+def test_vector_valued_f_matches_componentwise_calls(op, alpha):
+    parts = (lambda s: s * s + 1.0, lambda s: 3.0 * s ** 0.5)
+    q, t = 2.0 / 3.0, 0.8
+    got = op(lambda s: np.array([part(s) for part in parts]), alpha, t, q)
+    assert got.shape == (2,)
+    # the vector loop stops when both components have settled, so it may
+    # run a few terms past either scalar call
+    for value, part in zip(got, parts):
+        assert value == pytest.approx(op(part, alpha, t, q), rel=1e-13)
