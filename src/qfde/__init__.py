@@ -13,7 +13,6 @@ from .errors import (
 from .l1q import (
     L1qCoefficients,
     QMesh,
-    TruncationBound,
     WeightTable,
     build_mesh,
     coefficients,
@@ -53,8 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FixedPointError", "MonotonicityError", "NonConvergenceError", "PoleError",
     "QCalculusError", "SingularKernelError",
-    "QScale", "QMesh", "L1qCoefficients", "TruncationBound",
-    "WeightTable",
+    "QScale", "QMesh", "L1qCoefficients", "WeightTable",
     "IVProblem", "SolverConfig", "SolveTrace", "ErrorReport",
     "q_bracket", "q_factorial", "shifted_factorial_int", "shifted_factorial_real",
     "q_gamma", "q_beta", "q_integral", "q_integral_zero", "q_derivative",

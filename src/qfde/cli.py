@@ -57,10 +57,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.alpha is None:
             self.alpha = default_alpha(self.name)
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def scale(self) -> QScale:
         return QScale(q=self.q, b=self.b)
@@ -273,8 +269,7 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     problem = spec.problem()
     if problem.exact is None:
         raise ValueError(f"problem {spec.name!r} has no exact solution")
-    scale = spec.scale()
-    trace = solve_ivp(problem, scale, spec.N, spec.config)
+    trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
     if m2 is None:
         m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)
     L1 = trace.contraction_L1 if trace.contraction_L1 is not None else 0.0

@@ -18,12 +18,13 @@ Hypergeometric Series*, 2nd ed., ch. 1):
 every distance at once from downward recurrences, so one table serves
 every node of every mesh with that q and alpha.  G is also the kernel of
 the lattice operators: (t - q s)^(-alpha) = t^(-alpha) G(j) at the Jackson
-points s = t q^j.  The solver, :func:`coefficients` and the fractional
-integral of :mod:`qfde.qfrac` read the tables of the TABLES_KEPT most
+points s = t q^j.  The solver, :func:`coefficients` and the lattice
+operators of :mod:`qfde.qfrac` read the tables of the TABLES_KEPT most
 recently used (q, alpha) from one store per process.  A table is never
 written after it is built, and a slice of a larger one equals a fresh
 build of the smaller one bit for bit, so what a call reads does not
-depend on the calls before it.
+depend on the calls before it.  :class:`L1qCoefficients` carries its q
+and alpha and targets node n = len(weights), all that :func:`l1q_apply` reads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonotonicityError
-from .qcore import QScale, q_gamma, tail_terms
+from .qcore import QScale, _check_q, q_gamma, tail_terms
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ class WeightTable:
 
 @dataclass(frozen=True)
 class L1qCoefficients:
-    """Difference weights b_1 .. b_n targeting node index n."""
+    """Difference weights b_1 .. b_n of order alpha targeting node n = len(weights)."""
 
-    n: int
+    q: float
     alpha: float
     weights: np.ndarray  # weights[k-1] = b_k
     gaps: np.ndarray     # gaps[k-1] = b_{k+1} - b_k, k = 1..n-1
@@ -90,15 +91,6 @@ class L1qCoefficients:
     def __post_init__(self):
         self.weights.setflags(write=False)
         self.gaps.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class TruncationBound:
-    """Worst-case remainder of the difference formula at node n."""
-
-    n: int
-    value: float
-    m2: float
 
 
 def build_mesh(scale: QScale, N: int) -> QMesh:
@@ -148,8 +140,7 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     The strict chain t_n^(-alpha) < b_1 < ... < b_n, that is D > 0 and
     S - 1 > 0, is asserted on the scaled values as a corruption detector.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"scale index q must be in (0, 1), got {q}")
+    _check_q(q)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must be in (0, 1), got {alpha}")
     if size < 1:
@@ -242,25 +233,26 @@ def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
     weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
     gaps = scale * np.concatenate((table.R[n:n + 1] if n >= 2 else [],
                                    table.D[1:n - 1][::-1]))
-    return L1qCoefficients(n=n, alpha=alpha, weights=weights, gaps=gaps)
+    return L1qCoefficients(q=mesh.scale.q, alpha=alpha, weights=weights, gaps=gaps)
 
 
-def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients, q: float,
-              alpha: float):
+def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients):
     """Apply the difference formula to samples x^0 .. x^n (componentwise).
 
-    Returns (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}).
+    Returns (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}), with q,
+    alpha and n read off coeffs.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != coeffs.n + 1:
-        raise ValueError(
-            f"need {coeffs.n + 1} samples x^0..x^n, got {samples.shape[0]}")
+    n = len(coeffs.weights)
+    if samples.shape[0] != n + 1:
+        raise ValueError(f"need {n + 1} samples x^0..x^n, got {samples.shape[0]}")
     diffs = np.diff(samples, axis=0)
-    out = np.tensordot(coeffs.weights, diffs, axes=(0, 0)) / q_gamma(1.0 - alpha, q)
+    out = (np.tensordot(coeffs.weights, diffs, axes=(0, 0))
+           / q_gamma(1.0 - coeffs.alpha, coeffs.q))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> TruncationBound:
+def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
     """Remainder bound for the difference formula at node n.
 
     |R^n| <= m2 * t_n^(-alpha) * dt_n^2 /
@@ -274,6 +266,5 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> Truncation
     q = mesh.scale.q
     t_n = mesh.nodes[n]
     dt_n = mesh.steps[n - 1]
-    value = (m2 * t_n ** (-alpha) * dt_n ** 2
-             / (4.0 * q_gamma(1.0 - alpha, q) * (1.0 - q * q) * (q ** alpha - q)))
-    return TruncationBound(n=n, value=value, m2=m2)
+    return (m2 * t_n ** (-alpha) * dt_n ** 2
+            / (4.0 * q_gamma(1.0 - alpha, q) * (1.0 - q * q) * (q ** alpha - q)))

@@ -35,7 +35,7 @@ def _example1(q: float, b: float, alpha: float) -> IVProblem:
     Gamma_q(5/2) in the quadratic term: the power rule forces it, and
     the quadrature cross-check in the tests confirms it.
     """
-    if abs(alpha - 0.5) > 1e-12:
+    if not abs(alpha - 0.5) <= 1e-12:     # also rejects NaN
         raise ValueError("problem 'example1' is defined for alpha = 1/2")
     c2 = (1.0 + q) / q_gamma(2.5, q)
     c1 = 1.0 / q_gamma(1.5, q)
@@ -74,24 +74,26 @@ def _constant(q: float, b: float, alpha: float) -> IVProblem:
 
 def _manufactured_linear(q: float, b: float, alpha: float) -> IVProblem:
     """Exact solution x(t) = 1 + 2t at any order; forcing from the power rule."""
-    c = 2.0 / q_gamma(2.0 - alpha, q)
-
     def f(t, x):
         return _vector(c * t ** (1.0 - alpha))
 
-    return IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: _vector(1.0 + 2.0 * t))
+    # IVProblem checks alpha before Gamma_q(2 - alpha) can meet a pole or overflow
+    problem = IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
+                        exact=lambda t: _vector(1.0 + 2.0 * t))
+    c = 2.0 / q_gamma(2.0 - alpha, q)
+    return problem
 
 
 def _manufactured_quadratic(q: float, b: float, alpha: float) -> IVProblem:
     """Exact solution x(t) = t^2 + 1 at any order; forcing from the power rule."""
-    c = (1.0 + q) / q_gamma(3.0 - alpha, q)
-
     def f(t, x):
         return _vector(c * t ** (2.0 - alpha))
 
-    return IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
-                     exact=lambda t: _vector(t * t + 1.0))
+    # IVProblem checks alpha before Gamma_q(3 - alpha) can meet a pole or overflow
+    problem = IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=0.0,
+                        exact=lambda t: _vector(t * t + 1.0))
+    c = (1.0 + q) / q_gamma(3.0 - alpha, q)
+    return problem
 
 
 _REGISTRY = {

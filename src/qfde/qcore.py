@@ -45,10 +45,9 @@ class QScale:
     b: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"scale index q must be in (0, 1), got {self.q}")
-        if not self.b > 0.0:
-            raise ValueError(f"horizon b must be positive, got {self.b}")
+        _check_q(self.q)
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"horizon b must be positive and finite, got {self.b}")
 
 
 REL_TOL = 1e-14        # relative truncation tolerance of every series

@@ -10,7 +10,9 @@ with G the q-Pochhammer ratio of the kept (q, 1-alpha) weight table of
 derivatives are built from the integral (Annaby & Mansour,
 *q-Fractional Calculus and Equations*, LNM 2056, 2012): the Caputo
 derivative is I^(1-alpha) D_q f and the Riemann-Liouville derivative is
-D_q I^(1-alpha) f.
+D_q I^(1-alpha) f.  The Caputo derivative of order alpha reads the
+(q, alpha) table that a solve reads, not one keyed on 1 - (1 - alpha),
+which rounds away from alpha for 29% of alpha in [0.05, 0.95].
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
         raise ValueError(f"fractional integral needs alpha > 0, got {alpha}")
     if t < 0.0:
         raise ValueError(f"fractional integral needs t >= 0, got {t}")
+    return _integral(f, alpha, 1.0 - alpha, t, q)
+
+
+def _integral(f: QFunction, alpha: float, order: float, t: float, q: float):
+    """frac_q_integral past its checks; order = 1 - alpha keys the kernel table."""
     if t == 0.0:
         return 0.0
-    order = 1.0 - alpha     # rounds to 1 for alpha below 1.1e-16
-    if 0.0 < order < 1.0:
+    if 0.0 < order < 1.0:   # order rounds to 1 for alpha below 1.1e-16
         # The Jackson loop samples s = t q^j in order j = 0, 1, ...: the
         # kernel there is t^(alpha-1) G(j), and G(j) = 1 to REL_TOL past T(q).
         _check_q(q)
@@ -62,7 +68,7 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return frac_q_integral(f, -alpha, t, q)
     if t < 0.0:
         raise ValueError(f"Caputo derivative needs t >= 0, got {t}")
-    return frac_q_integral(lambda s: q_derivative(f, s, q), 1.0 - alpha, t, q)
+    return _integral(lambda s: q_derivative(f, s, q), 1.0 - alpha, alpha, t, q)
 
 
 def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):

@@ -64,6 +64,9 @@ non-finite at t_n costs one call per start.
 
 f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
+Each input is checked once, where it enters: q and b by QScale, N by
+build_mesh (N = len(fsamples) for :func:`solve_linear_history`), alpha
+and x0 by :class:`IVProblem`, the iteration settings by SolverConfig.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share only read-only weight tables and cached values of
@@ -103,10 +106,18 @@ class IVProblem:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must be in (0, 1), got {self.alpha}")
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.x0.ndim != 1:
-            raise ValueError(f"x0 must be 1-D, got shape {self.x0.shape}")
+        self.x0 = _initial_value(self.x0)
         self.d = self.x0.shape[0]
+
+
+def _initial_value(x0) -> np.ndarray:
+    """x0 as a 1-D float array; raises ValueError unless it is finite."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial value x0 must be finite, got {x0}")
+    return x0
 
 
 @dataclass(frozen=True)
@@ -121,13 +132,13 @@ class SolverConfig:
     start_perturbation: float = 1e-8
 
     def __post_init__(self):
-        if self.fp_tol <= 0.0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise ValueError(f"fp_tol must be finite and positive, got {self.fp_tol}")
         if self.max_fp_iters < 1:
             raise ValueError(f"max_fp_iters must be >= 1, got {self.max_fp_iters}")
-        if self.start_perturbation < 0.0:
-            raise ValueError(
-                f"start_perturbation must be >= 0, got {self.start_perturbation}")
+        if not 0.0 <= self.start_perturbation < math.inf:
+            raise ValueError(f"start_perturbation must be finite and >= 0, "
+                             f"got {self.start_perturbation}")
 
 
 @dataclass
@@ -229,8 +240,6 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
     nudged start, tried after any failure of the predicted one (see the
     module docstring).
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
     mesh = build_mesh(scale, N)
     alpha = problem.alpha
 
@@ -341,7 +350,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
 
 
 def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
-                         scale: QScale, N: int) -> SolveTrace:
+                         scale: QScale) -> SolveTrace:
     """Explicit forward recurrence when f^1 .. f^N are given data.
 
     One exact pass per step; no inner iteration.  Raises ValueError,
@@ -351,11 +360,8 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
     fsamples = np.atleast_1d(np.asarray(fsamples, dtype=float))
     if fsamples.ndim == 1:
         fsamples = fsamples[:, None]
-    if fsamples.shape[0] != N:
-        raise ValueError(f"need N={N} forcing samples, got {fsamples.shape[0]}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial value x0 must be finite, got {x0}")
+    N = fsamples.shape[0]
+    x0 = _initial_value(x0)
     bad = ~np.all(np.isfinite(fsamples), axis=1)
     if bad.any():
         n = int(np.argmax(bad)) + 1
@@ -395,6 +401,8 @@ def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
     """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")
+    if math.isnan(m2):
+        raise ValueError("m2 must not be NaN")
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
     mesh = trace.mesh

@@ -108,7 +108,7 @@ def test_main_solve_table_stdout(capsys):
     assert "config=" not in header
 
 
-def test_main_invalid_arguments():
+def test_main_invalid_arguments(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", "nosuch", "--q", "0.5", "--N", "3"])
     assert info.value.code == EXIT_ARGS
@@ -120,6 +120,41 @@ def test_main_invalid_arguments():
                  "--alpha", "0.7", "--N", "3"]) == EXIT_ARGS
     assert main(["converge", "--problem", "example2", "--q", "2/3",
                  "--N-list", "6,x", "--delta", "0.5"]) == EXIT_ARGS
+    # N is checked by the mesh, alpha by the registry factory and IVProblem,
+    # before Gamma_q(3 - alpha) meets its pole at 3 or Gamma_q(2 - alpha)
+    # overflows at 2000.5
+    capsys.readouterr()
+    for argv in (["solve", "--problem", "example1", "--q", "1/4", "--N", "0"],
+                 ["solve", "--problem", "manufactured-quadratic", "--q", "1/4",
+                  "--N", "3", "--alpha", "1.5"],
+                 ["converge", "--problem", "example2", "--q", "2/3",
+                  "--N-list", "6,8", "--delta", "0.5", "--alpha", "0"],
+                 ["solve", "--problem", "manufactured-quadratic", "--q", "1/4",
+                  "--N", "3", "--alpha", "3"],
+                 ["solve", "--problem", "manufactured-linear", "--q", "1/4",
+                  "--N", "3", "--alpha", "2000.5"],
+                 ["solve", "--problem", "example1", "--q", "1/4", "--N", "3",
+                  "--alpha", "nan"]):
+        assert main(argv) == EXIT_ARGS, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["solve", "--fp-tol", "nan"], "fp_tol must be finite", id="fp-tol-nan"),
+    pytest.param(["solve", "--fp-tol", "inf"], "fp_tol must be finite", id="fp-tol-inf"),
+    pytest.param(["solve", "--perturb", "nan"], "start_perturbation must be finite",
+                 id="perturb-nan"),
+    pytest.param(["bounds", "--m2", "nan"], "m2 must not be NaN", id="m2-nan"),
+    pytest.param(["solve", "--b", "inf"], "horizon b must be positive and finite",
+                 id="b-inf"),
+])
+def test_main_non_finite_flags_exit_at_once(argv, message, capsys):
+    # each is refused as an invalid argument before any step is solved
+    code = main(argv[:1] + ["--problem", "example1", "--q", "1/4", "--N", "10"]
+                + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ARGS
+    assert out == "" and err.startswith("error: ") and message in err
 
 
 def test_parser_built_once_and_left_unchanged(capsys):

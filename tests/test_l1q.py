@@ -147,9 +147,9 @@ def test_coefficients_validation():
 def test_l1q_apply_constant_and_lengths():
     mesh = build_mesh(QScale(0.5, 1.0), 4)
     c = coefficients(mesh, 4, 0.5)
-    assert l1q_apply(np.full(5, 3.7), c, 0.5, 0.5) == 0.0
+    assert l1q_apply(np.full(5, 3.7), c) == 0.0
     with pytest.raises(ValueError):
-        l1q_apply(np.ones(4), c, 0.5, 0.5)
+        l1q_apply(np.ones(4), c)
 
 
 def test_l1q_apply_exact_on_affine():
@@ -159,7 +159,7 @@ def test_l1q_apply_exact_on_affine():
         x = 0.7 + 1.3 * mesh.nodes
         for n in (1, 4, 8):
             c = coefficients(mesh, n, alpha)
-            got = l1q_apply(x[:n + 1], c, q, alpha)
+            got = l1q_apply(x[:n + 1], c)
             ref = caputo_q_derivative(lambda t: 0.7 + 1.3 * t, alpha,
                                       float(mesh.nodes[n]), q)
             assert got == pytest.approx(ref, rel=1e-10)
@@ -170,19 +170,19 @@ def test_l1q_apply_quadratic_within_bound():
     mesh = build_mesh(QScale(q, 1.0), 10)
     x = mesh.nodes ** 2 + 1.0
     c = coefficients(mesh, 10, alpha)
-    got = l1q_apply(x, c, q, alpha)
+    got = l1q_apply(x, c)
     exact = (1.0 + q) / q_gamma(7.0 / 3.0, q)
-    assert abs(got - exact) <= truncation_bound(mesh, 10, alpha, m2=1.0 + q).value
+    assert abs(got - exact) <= truncation_bound(mesh, 10, alpha, m2=1.0 + q)
 
 
 def test_l1q_apply_componentwise():
     mesh = build_mesh(QScale(0.5, 1.0), 3)
     c = coefficients(mesh, 3, 0.5)
     xs = np.stack([mesh.nodes, mesh.nodes ** 2 + 1.0], axis=1)
-    out = l1q_apply(xs, c, 0.5, 0.5)
+    out = l1q_apply(xs, c)
     assert out.shape == (2,)
-    assert out[0] == pytest.approx(l1q_apply(xs[:, 0], c, 0.5, 0.5), rel=1e-15)
-    assert out[1] == pytest.approx(l1q_apply(xs[:, 1], c, 0.5, 0.5), rel=1e-15)
+    assert out[0] == pytest.approx(l1q_apply(xs[:, 0], c), rel=1e-15)
+    assert out[1] == pytest.approx(l1q_apply(xs[:, 1], c), rel=1e-15)
 
 
 def test_coefficient_gaps():
@@ -199,12 +199,12 @@ def test_coefficient_gaps():
 
 def test_truncation_bound_formula():
     mesh = build_mesh(QScale(0.5, 1.0), 10)
-    assert truncation_bound(mesh, 10, 0.5, m2=0.0).value == 0.0
+    assert truncation_bound(mesh, 10, 0.5, m2=0.0) == 0.0
     got = truncation_bound(mesh, 10, 0.5, m2=1.5)
     q, t_n, dt = 0.5, mesh.nodes[10], mesh.steps[9]
     manual = 1.5 * t_n ** -0.5 * dt * dt / (
         4.0 * q_gamma(0.5, q) * (1.0 - q * q) * (q ** 0.5 - q))
-    assert got.value == pytest.approx(manual, rel=1e-14)
+    assert got == pytest.approx(manual, rel=1e-14)
     with pytest.raises(ValueError):
         truncation_bound(mesh, 10, 0.5, m2=-1.0)
 
@@ -216,11 +216,11 @@ def test_truncation_dominance_spot():
         x = mesh.nodes ** 2 + 1.0
         for n in range(1, N + 1):
             c = coefficients(mesh, n, alpha)
-            got = l1q_apply(x[:n + 1], c, q, alpha)
+            got = l1q_apply(x[:n + 1], c)
             exact = caputo_q_derivative(lambda t: t * t + 1.0, alpha,
                                         float(mesh.nodes[n]), q)
             assert abs(got - exact) <= truncation_bound(mesh, n, alpha,
-                                                        m2=1.0 + q).value
+                                                        m2=1.0 + q)
 
 
 def test_kernel_derivative_identity():

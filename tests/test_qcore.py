@@ -320,6 +320,13 @@ def test_validation_types():
         QScale(q=0.5, b=0.0)
 
 
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_horizon_must_be_finite(b):
+    # an infinite horizon would give a mesh of inf and NaN nodes
+    with pytest.raises(ValueError, match="horizon b must be positive and finite"):
+        QScale(q=0.5, b=b)
+
+
 @pytest.mark.parametrize("q", [0.999, 0.9999])
 def test_q_gamma_near_one(q):
     # the product needs T(q) = 32,221 and 322,346 factors here, past the

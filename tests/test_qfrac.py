@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from qfde import (
+    QScale,
     caputo_q_derivative,
     frac_q_integral,
+    l1q,
+    make_problem,
     q_gamma,
     q_integral_zero,
     qfrac,
     rl_q_derivative,
+    solve_ivp,
 )
 from qfde.qcore import REL_TOL
 
@@ -150,6 +154,16 @@ def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
         assert frac_q_integral(f, 1.0, x, 0.5) == pytest.approx(
             q_integral_zero(f, x, 0.5), rel=1e-15)
     assert calls
+
+
+def test_caputo_reads_the_table_a_solve_reads(monkeypatch):
+    # 1 - (1 - 0.1) = 0.09999999999999998: a Caputo derivative keyed on it
+    # would keep a second table beside the solve's (0.9, 0.1)
+    monkeypatch.setattr(l1q, "_tables", {})
+    caputo_q_derivative(lambda s: s * s, 0.1, 0.5, 0.9)
+    solve_ivp(make_problem("manufactured-quadratic", 0.9, alpha=0.1),
+              QScale(0.9, 1.0), 10)
+    assert list(l1q._tables) == [(0.9, 0.1)]
 
 
 def test_frac_integral_rejects_a_bad_scale_index():

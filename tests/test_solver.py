@@ -67,7 +67,7 @@ def test_unconditional_stability_randomized():
         x0 = rng.uniform(-5, 5)
         fs = rng.uniform(-3, 3, N)
         scale = QScale(q, 1.0)
-        trace = solve_linear_history(fs, x0, alpha, scale, N)
+        trace = solve_linear_history(fs, x0, alpha, scale)
         gamma = q_gamma(1.0 - alpha, q)
         for n in range(1, N + 1):
             cap = (abs(x0) + gamma * trace.mesh.nodes[n] ** alpha
@@ -109,27 +109,25 @@ def test_solve_linear_history_manufactured():
     mesh = build_mesh(scale, N)
     fs = np.array([caputo_q_derivative(lambda s: s * s, alpha,
                                        float(t), q) for t in mesh.nodes[1:]])
-    trace = solve_linear_history(fs, 0.0, alpha, scale, N)
+    trace = solve_linear_history(fs, 0.0, alpha, scale)
     gamma = q_gamma(1.0 - alpha, q)
     for n in range(1, N + 1):
-        rbound = max(truncation_bound(mesh, k, alpha, m2=1.0 + q).value
+        rbound = max(truncation_bound(mesh, k, alpha, m2=1.0 + q)
                      for k in range(1, n + 1))
         err = abs(trace.states[n, 0] - mesh.nodes[n] ** 2)
         assert err <= gamma * mesh.nodes[n] ** alpha * rbound * (1.0 + 1e-10)
 
 
 def test_solve_linear_history_validation():
-    with pytest.raises(ValueError):
-        solve_linear_history(np.zeros(3), 0.0, 0.5, QScale(0.5, 1.0), 4)
     scale = QScale(0.5, 1.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"forcing sample f\^2 is not finite"):
-            solve_linear_history([1.0, bad, 2.0, bad], 0.0, 0.5, scale, 4)
+            solve_linear_history([1.0, bad, 2.0, bad], 0.0, 0.5, scale)
         with pytest.raises(ValueError, match=r"forcing sample f\^3 is not finite"):
             solve_linear_history([[1.0, 1.0], [2.0, 2.0], [3.0, bad]],
-                                 [0.0, 0.0], 0.5, scale, 3)
+                                 [0.0, 0.0], 0.5, scale)
         with pytest.raises(ValueError, match="x0 must be finite"):
-            solve_linear_history([1.0, 2.0, 3.0], [0.0, bad], 0.5, scale, 3)
+            solve_linear_history([1.0, 2.0, 3.0], [0.0, bad], 0.5, scale)
 
 
 @pytest.mark.parametrize("q", [0.25, 0.9])
@@ -151,7 +149,7 @@ def test_solve_linear_history_matches_plain_increment_form(q, N):
         dx.append([(gamma * fs[n - 1, i] - sum(b[k - 1] * dx[k][i] for k in range(1, n)))
                    / b[n - 1] for i in range(2)])
         states.append([states[-1][i] + dx[n][i] for i in range(2)])
-    got = solve_linear_history(fs, x0, alpha, scale, N).states
+    got = solve_linear_history(fs, x0, alpha, scale).states
     assert np.max(np.abs(got / np.array(states) - 1.0)) <= 1e-14
 
 
@@ -294,6 +292,14 @@ def test_error_report_requires_exact():
         error_report(trace, problem, m2=1.0)
 
 
+def test_error_report_rejects_nan_m2():
+    # a NaN m2 would make every bound NaN and every node a violation
+    problem = make_problem("manufactured-linear", q=0.5)
+    trace = solve_ivp(problem, QScale(0.5, 1.0), 3)
+    with pytest.raises(ValueError, match="m2 must not be NaN"):
+        error_report(trace, problem, m2=math.nan)
+
+
 def test_fixed_point_failure_carries_partial_trace():
     problem = make_problem("example2", q=2.0 / 3.0)
     with pytest.raises(FixedPointError) as info:
@@ -383,6 +389,20 @@ def test_solver_config_validation():
     assert IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(3)).d == 3
     with pytest.raises(TypeError):
         IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(2), d=2)
+
+
+@pytest.mark.parametrize("field", ["fp_tol", "start_perturbation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solver_config_rejects_non_finite_values(field, value):
+    # an infinite fp_tol accepts every first update; a NaN one accepts none
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_value_rejected_at_once(bad):
+    with pytest.raises(ValueError, match="initial value x0 must be finite"):
+        IVProblem(f=lambda t, x: x, alpha=0.5, x0=[1.0, bad])
 
 
 @pytest.mark.parametrize("q, N", [(0.25, 32), (2.0 / 3.0, 85), (0.9, 300),
