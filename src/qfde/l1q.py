@@ -16,15 +16,15 @@ Hypergeometric Series*, 2nd ed., ch. 1):
 
 :func:`weight_table` builds G, S and the gaps of the weight chain for
 every distance at once from downward recurrences, so one table serves
-every node of every mesh with that q and alpha.  G is also the kernel of
-the lattice operators: (t - q s)^(-alpha) = t^(-alpha) G(j) at the Jackson
-points s = t q^j.  The solver, :func:`coefficients` and the lattice
-operators of :mod:`qfde.qfrac` read the tables of the TABLES_KEPT most
-recently used (q, alpha) from one store per process.  A table is never
-written after it is built, and a slice of a larger one equals a fresh
-build of the smaller one bit for bit, so what a call reads does not
-depend on the calls before it.  :class:`L1qCoefficients` carries its q
-and alpha and targets node n = len(weights), all that :func:`l1q_apply` reads.
+every node of every mesh with that q and alpha, and the lattice operators
+of :mod:`qfde.qfrac`: at s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j),
+and D(j) weighs f(s) in the RL derivative.  The solver, :func:`coefficients`
+and those operators read the tables of the TABLES_KEPT most recently used
+(q, alpha) from one store per process.  A table is never written after it
+is built, and a slice of a larger one equals a fresh build of the smaller
+one bit for bit, so what a call reads does not depend on the calls before
+it.  :class:`L1qCoefficients` carries its q and alpha and targets node
+n = len(weights), all that :func:`l1q_apply` reads.
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
              (4 Gamma_q(1-alpha) (1 - q^2) (q^alpha - q)),
     where m2 bounds |D_q^2 x| on [0, t_n].
     """
-    if m2 < 0.0:
-        raise ValueError(f"m2 must be >= 0, got {m2}")
+    if not m2 >= 0.0:
+        raise ValueError(f"m2 must not be NaN or negative, got {m2}")
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
     q = mesh.scale.q

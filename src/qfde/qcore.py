@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -174,37 +176,43 @@ def q_gamma(alpha: float, q: float) -> float:
     return shifted_factorial_real(1.0, q, alpha - 1.0, q) * (1.0 - q) ** (1.0 - alpha)
 
 
-def q_integral_zero(f: QFunction, x: float, q: float):
-    """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n).
+def _lattice(x: float, q: float):
+    """The Jackson lattice x, x q, x q^2, ..., each point q times the last."""
+    return accumulate(repeat(q), operator.mul, initial=float(x))
 
-    f is called once per lattice point, at s = x q^n in order n = 0, 1, ...;
-    the fractional integral of :mod:`qfde.qfrac` reads its kernel by that
-    order.  Stops once three consecutive terms fall below REL_TOL times the
-    running sum (guarding against f vanishing at isolated lattice
-    points).
+
+def _lattice_sum(terms, q: float):
+    """Sum of one term (float or array) per lattice point, read as needed.
+
+    Every Jackson sum of the package stops here: once three consecutive
+    terms (not one: f may vanish at a point) fall below REL_TOL times the
+    running sum, or with NonConvergenceError past the budget of q.
     """
+    budget = _budget(q)
+    total = None
+    small = 0
+    for term in islice(terms, budget):
+        term = np.asarray(term, dtype=float)
+        total = term if total is None else total + term
+        if float(np.max(np.abs(term))) < REL_TOL * (float(np.max(np.abs(total))) + _TINY):
+            small += 1
+            if small == 3:
+                return float(total) if total.ndim == 0 else total
+        else:
+            small = 0
+    raise NonConvergenceError(
+        f"Jackson integral did not settle within {budget} terms at q={q!r}")
+
+
+def q_integral_zero(f: QFunction, x: float, q: float):
+    """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n), one f call per point."""
     _check_q(q)
     if x < 0.0:
         raise ValueError(f"q-integral needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    budget = _budget(q)
-    total = None
-    point = float(x)
-    small = 0
-    for _ in range(budget):
-        term = point * np.asarray(f(point), dtype=float)
-        total = term if total is None else total + term
-        if float(np.max(np.abs(term))) < REL_TOL * (float(np.max(np.abs(total))) + _TINY):
-            small += 1
-            if small == 3:
-                out = (1.0 - q) * total
-                return float(out) if out.ndim == 0 else out
-        else:
-            small = 0
-        point *= q
-    raise NonConvergenceError(
-        f"Jackson integral did not settle within {budget} terms at q={q!r}")
+    terms = (s * np.asarray(f(s), dtype=float) for s in _lattice(x, q))
+    return (1.0 - q) * _lattice_sum(terms, q)
 
 
 def q_integral(f: QFunction, a: float, b: float, q: float):

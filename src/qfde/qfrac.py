@@ -1,25 +1,34 @@
 """Fractional q-integral and fractional q-derivatives (orders 0 < alpha < 1).
 
-All three operators start at the lower limit 0, the only one the
-difference scheme uses.  The fractional integral is the Jackson
-quadrature from :mod:`qfde.qcore` of the kernel (t - qs)^(alpha-1),
-sampled exactly at the lattice points s = t q^j, never through
-interpolation.  For 0 < alpha < 1 the kernel there is t^(alpha-1) G(j),
-with G the q-Pochhammer ratio of the kept (q, 1-alpha) weight table of
-:mod:`qfde.l1q`; higher orders take the shifted factorial.  Both
-derivatives are built from the integral (Annaby & Mansour,
-*q-Fractional Calculus and Equations*, LNM 2056, 2012): the Caputo
-derivative is I^(1-alpha) D_q f and the Riemann-Liouville derivative is
-D_q I^(1-alpha) f.  The Caputo derivative of order alpha reads the
-(q, alpha) table that a solve reads, not one keyed on 1 - (1 - alpha),
-which rounds away from alpha for 29% of alpha in [0.05, 0.95].
+All three start at the lower limit 0, the only one the scheme uses (Annaby
+& Mansour, *q-Fractional Calculus and Equations*, LNM 2056).  Each is one
+sum over the Jackson lattice s_j = t q^j, calling f once per point, whose
+kernel (t - q s_j)^(-a) = t^(-a) G(j) and D(j) = G(j-1) - G(j) are read off
+the kept (q, a) weight table of :mod:`qfde.l1q`.  With Gamma = Gamma_q(1-alpha),
+
+    I^beta f(t)   = t^(beta-1) (1-q)/Gamma_q(beta) sum_j G(j) s_j f(s_j),
+    cD^alpha f(t) = t^(-alpha)/Gamma sum_j G(j) (f(s_j) - f(s_(j+1))),
+    D^alpha f(t)  = t^(-alpha)/Gamma (G(0) f(t) - sum_(j>=1) D(j) f(s_j)),
+
+on the (q, 1-beta) table for 0 < beta < 1 (the shifted factorial serves
+beta >= 1) and the (q, alpha) table a solve reads.  Regrouped by point,
+D_q I^(1-alpha) f weighs f(s_j), j >= 1, by q^j (G(j) - q^(-alpha) G(j-1)),
+which the recurrence of G makes -D(j), so no two integrals are subtracted.
+Past the table G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
 """
 
 from __future__ import annotations
 
+from itertools import chain, pairwise, repeat
+
 from .l1q import _table
-from .qcore import (QFunction, _check_q, q_derivative, q_gamma,
-                    q_integral_zero, shifted_factorial_real, tail_terms)
+from .qcore import (QFunction, _check_q, _lattice, _lattice_sum, q_gamma,
+                    shifted_factorial_real, tail_terms)
+
+
+def _kernel(q: float, alpha: float):
+    """G(0), G(1), ... of the kept (q, alpha) table, then 1 (to REL_TOL) past it."""
+    return chain(_table(q, alpha, tail_terms(q)).G.tolist(), repeat(1.0))
 
 
 def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
@@ -32,25 +41,15 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
         raise ValueError(f"fractional integral needs alpha > 0, got {alpha}")
     if t < 0.0:
         raise ValueError(f"fractional integral needs t >= 0, got {t}")
-    return _integral(f, alpha, 1.0 - alpha, t, q)
-
-
-def _integral(f: QFunction, alpha: float, order: float, t: float, q: float):
-    """frac_q_integral past its checks; order = 1 - alpha keys the kernel table."""
     if t == 0.0:
         return 0.0
-    if 0.0 < order < 1.0:   # order rounds to 1 for alpha below 1.1e-16
-        # The Jackson loop samples s = t q^j in order j = 0, 1, ...: the
-        # kernel there is t^(alpha-1) G(j), and G(j) = 1 to REL_TOL past T(q).
-        _check_q(q)
-        kernel = iter(_table(q, order, tail_terms(q)).G.tolist())
-        total = q_integral_zero(lambda s: next(kernel, 1.0) * f(s), t, q)
-        return t ** (alpha - 1.0) * total / q_gamma(alpha, q)
-
-    def integrand(s: float):
-        return shifted_factorial_real(t, q * s, alpha - 1.0, q) * f(s)
-
-    return q_integral_zero(integrand, t, q) / q_gamma(alpha, q)
+    _check_q(q)
+    scale, kernel = 1.0, (shifted_factorial_real(t, q * s, alpha - 1.0, q)
+                          for s in _lattice(t, q))
+    if 0.0 < 1.0 - alpha < 1.0:   # 1 - alpha is 1.0 for alpha below 1.1e-16
+        scale, kernel = t ** (alpha - 1.0), _kernel(q, 1.0 - alpha)
+    total = _lattice_sum((s * (k * f(s)) for k, s in zip(kernel, _lattice(t, q))), q)
+    return scale * ((1.0 - q) * total) / q_gamma(alpha, q)
 
 
 def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
@@ -68,15 +67,19 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return frac_q_integral(f, -alpha, t, q)
     if t < 0.0:
         raise ValueError(f"Caputo derivative needs t >= 0, got {t}")
-    return _integral(lambda s: q_derivative(f, s, q), 1.0 - alpha, alpha, t, q)
+    if t == 0.0:
+        return 0.0
+    _check_q(q)
+    steps = pairwise(map(f, _lattice(t, q)))    # (f(s_j), f(s_(j+1)))
+    total = _lattice_sum((g * (a - b) for g, (a, b) in zip(_kernel(q, alpha), steps)), q)
+    return t ** -alpha * total / q_gamma(1.0 - alpha, q)
 
 
 def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
     """Riemann-Liouville fractional q-derivative of order 0 < alpha < 1 at t.
 
-    D_q I^(1-alpha) f, the q-derivative (a difference quotient at t > 0)
-    of the order 1-alpha fractional integral of f.  Orders alpha <= 0
-    route to the fractional integral of order -alpha.
+    D_q I^(1-alpha) f.  Orders alpha <= 0 route to the fractional integral
+    of order -alpha.
     """
     if alpha >= 1.0:
         raise NotImplementedError("orders alpha >= 1 are out of scope")
@@ -86,4 +89,9 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return frac_q_integral(f, -alpha, t, q)
     if t <= 0.0:
         raise ValueError(f"RL derivative needs t > 0, got {t}")
-    return q_derivative(lambda u: frac_q_integral(f, 1.0 - alpha, u, q), t, q)
+    _check_q(q)
+    table = _table(q, alpha, tail_terms(q))
+    tail = -(q ** -alpha - 1.0) * q ** len(table.D)    # -D(j) = -c q^j
+    weights = chain(table.G[:1].tolist(), (-table.D[1:]).tolist(), _lattice(tail, q))
+    total = _lattice_sum((w * f(s) for w, s in zip(weights, _lattice(t, q))), q)
+    return t ** -alpha * total / q_gamma(1.0 - alpha, q)

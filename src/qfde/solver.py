@@ -401,8 +401,8 @@ def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
     """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")
-    if math.isnan(m2):
-        raise ValueError("m2 must not be NaN")
+    if not m2 >= 0.0:
+        raise ValueError(f"m2 must not be NaN or negative, got {m2}")
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
     mesh = trace.mesh

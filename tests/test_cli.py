@@ -134,7 +134,11 @@ def test_main_invalid_arguments(capsys):
                  ["solve", "--problem", "manufactured-linear", "--q", "1/4",
                   "--N", "3", "--alpha", "2000.5"],
                  ["solve", "--problem", "example1", "--q", "1/4", "--N", "3",
-                  "--alpha", "nan"]):
+                  "--alpha", "nan"],
+                 # a negative m2 would make every bound negative, every
+                 # node a violation
+                 ["bounds", "--problem", "example1", "--q", "1/4", "--N", "4",
+                  "--m2", "-1"]):
         assert main(argv) == EXIT_ARGS, argv
         assert capsys.readouterr().err.startswith("error: "), argv
 

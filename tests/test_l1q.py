@@ -207,6 +207,8 @@ def test_truncation_bound_formula():
     assert got == pytest.approx(manual, rel=1e-14)
     with pytest.raises(ValueError):
         truncation_bound(mesh, 10, 0.5, m2=-1.0)
+    with pytest.raises(ValueError, match="m2 must not be NaN"):
+        truncation_bound(build_mesh(QScale(0.5), 4), 4, 0.5, m2=math.nan)
 
 
 def test_truncation_dominance_spot():

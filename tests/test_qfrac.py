@@ -156,14 +156,58 @@ def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
     assert calls
 
 
-def test_caputo_reads_the_table_a_solve_reads(monkeypatch):
-    # 1 - (1 - 0.1) = 0.09999999999999998: a Caputo derivative keyed on it
-    # would keep a second table beside the solve's (0.9, 0.1)
+@pytest.mark.parametrize("op", [caputo_q_derivative, rl_q_derivative],
+                         ids=lambda op: op.__name__)
+def test_caputo_reads_the_table_a_solve_reads(op, monkeypatch):
+    # 1 - (1 - 0.1) = 0.09999999999999998: a derivative keyed on it would
+    # keep a second table beside the solve's (0.9, 0.1)
     monkeypatch.setattr(l1q, "_tables", {})
-    caputo_q_derivative(lambda s: s * s, 0.1, 0.5, 0.9)
+    op(lambda s: s * s, 0.1, 0.5, 0.9)
     solve_ivp(make_problem("manufactured-quadratic", 0.9, alpha=0.1),
               QScale(0.9, 1.0), 10)
     assert list(l1q._tables) == [(0.9, 0.1)]
+
+
+@pytest.mark.parametrize("op, alpha", [(frac_q_integral, 0.3), (frac_q_integral, 1.5),
+                                       (caputo_q_derivative, 0.7), (rl_q_derivative, 0.7)],
+                         ids=["integral", "integral-order-1.5", "caputo", "rl"])
+def test_each_operator_calls_f_once_per_lattice_point(op, alpha):
+    # one sum over s = t q^j: no D_q quotient or difference of two
+    # integrals evaluates f twice at a point
+    calls = []
+    op(lambda s: calls.append(s) or s * s + 1.0, alpha, 1.0, 0.5)
+    assert len(calls) == len(set(calls))
+    assert calls == [0.5 ** j for j in range(len(calls))]
+
+
+RL_POWERS = {"2": [(2.0, 0.0)], "2-s+s^3": [(2.0, 0.0), (-1.0, 1.0), (1.0, 3.0)],
+             "s^0.5": [(1.0, 0.5)]}
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 2.0 / 3.0, 0.9])
+@pytest.mark.parametrize("name", list(RL_POWERS))
+def test_rl_power_rule(name, q):
+    # D^a s^b = Gamma_q(b+1)/Gamma_q(b+1-a) t^(b-a), the Gamma_q values
+    # from mpmath at 30 digits
+    powers = RL_POWERS[name]
+    f = lambda s: sum(c * s ** b for c, b in powers)
+    with mp.workdps(30):
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for t in (1.0, 0.7, q ** 5, q ** 15):
+                ref = float(sum(c * mp.qgamma(b + 1, q) / mp.qgamma(b + 1 - alpha, q)
+                                * mp.mpf(t) ** (b - alpha) for c, b in powers))
+                got = rl_q_derivative(f, alpha, t, q)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (alpha, t)
+
+
+def test_rl_of_a_singular_power_reads_the_kernel_past_the_table():
+    # the terms D(j) f(s_j) of s^(-0.45) fall like q^(0.55 j), well past the
+    # T(q) entries of the table, where D(j) = c q^j; dropping them errs by 1e-7
+    for q in (0.5, 0.9):
+        with mp.workdps(30):
+            ref = float(mp.qgamma(0.55, q) / mp.qgamma(0.05, q))
+        got = rl_q_derivative(lambda s: s ** -0.45, 0.5, 1.0, q)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_frac_integral_rejects_a_bad_scale_index():
@@ -186,7 +230,7 @@ def test_caputo_of_square_root_near_q_one():
 
 
 @pytest.mark.parametrize("op, alpha", [(frac_q_integral, 0.3), (frac_q_integral, 1.5),
-                                       (caputo_q_derivative, 0.7)])
+                                       (caputo_q_derivative, 0.7), (rl_q_derivative, 0.7)])
 def test_vector_valued_f_matches_componentwise_calls(op, alpha):
     parts = (lambda s: s * s + 1.0, lambda s: 3.0 * s ** 0.5)
     q, t = 2.0 / 3.0, 0.8
