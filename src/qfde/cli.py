@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FixedPointError, QCalculusError
+from .l1q import _check_m2
 from .problems import default_alpha, make_problem, problem_names
 from .qcore import QScale, q_derivative_n
 from .solver import (
@@ -269,6 +270,8 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     problem = spec.problem()
     if problem.exact is None:
         raise ValueError(f"problem {spec.name!r} has no exact solution")
+    if m2 is not None:
+        _check_m2(m2)   # before the solve, which a bad m2 would waste
     trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
     if m2 is None:
         m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)

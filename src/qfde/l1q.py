@@ -252,6 +252,11 @@ def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _check_m2(m2: float) -> None:
+    if not m2 >= 0.0:
+        raise ValueError(f"m2 must not be NaN or negative, got {m2}")
+
+
 def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
     """Remainder bound for the difference formula at node n.
 
@@ -259,8 +264,7 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
              (4 Gamma_q(1-alpha) (1 - q^2) (q^alpha - q)),
     where m2 bounds |D_q^2 x| on [0, t_n].
     """
-    if not m2 >= 0.0:
-        raise ValueError(f"m2 must not be NaN or negative, got {m2}")
+    _check_m2(m2)
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
     q = mesh.scale.q

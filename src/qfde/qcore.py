@@ -181,23 +181,34 @@ def _lattice(x: float, q: float):
     return accumulate(repeat(q), operator.mul, initial=float(x))
 
 
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
 def _lattice_sum(terms, q: float):
     """Sum of one term (float or array) per lattice point, read as needed.
 
     Every Jackson sum of the package stops here: once three consecutive
     terms (not one: f may vanish at a point) fall below REL_TOL times the
-    running sum, or with NonConvergenceError past the budget of q.
+    running sum, or with NonConvergenceError past the budget of q.  The
+    norm is picked once, from the first term: a float (np.float64 is one)
+    is summed as a Python float and measured by abs; anything else is read
+    by np.asarray and measured by its largest |entry|.  A scalar sum is
+    returned as a Python float.
     """
     budget = _budget(q)
-    total = None
+    total = norm = None
     small = 0
     for term in islice(terms, budget):
-        term = np.asarray(term, dtype=float)
+        if norm is None:
+            norm = abs if isinstance(term, float) else _max_abs
+        if norm is _max_abs:
+            term = np.asarray(term, dtype=float)
         total = term if total is None else total + term
-        if float(np.max(np.abs(term))) < REL_TOL * (float(np.max(np.abs(total))) + _TINY):
+        if norm(term) < REL_TOL * (norm(total) + _TINY):
             small += 1
             if small == 3:
-                return float(total) if total.ndim == 0 else total
+                return float(total) if np.ndim(total) == 0 else total
         else:
             small = 0
     raise NonConvergenceError(
@@ -205,13 +216,18 @@ def _lattice_sum(terms, q: float):
 
 
 def q_integral_zero(f: QFunction, x: float, q: float):
-    """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n), one f call per point."""
+    """Jackson integral over [0, x]: (1-q) * sum_n x q^n f(x q^n), one f call per point.
+
+    A float f(s) stays a Python float; any other value (an array, a list,
+    an int) is read by np.asarray as floats.
+    """
     _check_q(q)
     if x < 0.0:
         raise ValueError(f"q-integral needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    terms = (s * np.asarray(f(s), dtype=float) for s in _lattice(x, q))
+    terms = (s * (v if isinstance(v := f(s), float) else np.asarray(v, dtype=float))
+             for s in _lattice(x, q))
     return (1.0 - q) * _lattice_sum(terms, q)
 
 

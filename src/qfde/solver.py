@@ -83,7 +83,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FixedPointError
-from .l1q import QMesh, _table, build_mesh
+from .l1q import QMesh, _check_m2, _table, build_mesh
 from .qcore import QFunction, QScale, q_gamma
 
 # Updates in a row without a new least residual after which the attempt
@@ -401,8 +401,7 @@ def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
     """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")
-    if not m2 >= 0.0:
-        raise ValueError(f"m2 must not be NaN or negative, got {m2}")
+    _check_m2(m2)
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
     mesh = trace.mesh

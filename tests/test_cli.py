@@ -161,6 +161,18 @@ def test_main_non_finite_flags_exit_at_once(argv, message, capsys):
     assert out == "" and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("m2", ["-1", "nan"])
+def test_main_bounds_refuses_a_bad_m2_before_the_solve(m2, monkeypatch, capsys):
+    calls = []
+    solve = cli.solve_ivp
+    monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args) or solve(*args))
+    code = main(["bounds", "--problem", "example1", "--q", "0.9", "--N", "300",
+                 "--m2", m2])
+    assert code == EXIT_ARGS
+    assert "m2 must not be NaN or negative" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_parser_built_once_and_left_unchanged(capsys):
     parser = cli._build_parser()
     assert cli._build_parser() is parser

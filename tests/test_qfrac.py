@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfde import (
+    NonConvergenceError,
     QScale,
     caputo_q_derivative,
     frac_q_integral,
@@ -240,3 +241,26 @@ def test_vector_valued_f_matches_componentwise_calls(op, alpha):
     # run a few terms past either scalar call
     for value, part in zip(got, parts):
         assert value == pytest.approx(op(part, alpha, t, q), rel=1e-13)
+
+
+@pytest.mark.parametrize("op", [
+    lambda f, q: frac_q_integral(f, 0.3, 0.8, q),
+    lambda f, q: frac_q_integral(f, 1.5, 0.8, q),
+    lambda f, q: caputo_q_derivative(f, 0.7, 0.8, q),
+    lambda f, q: rl_q_derivative(f, 0.7, 0.8, q),
+    lambda f, q: q_integral_zero(f, 0.8, q),
+], ids=["integral", "integral-order-1.5", "caputo", "rl", "q_integral_zero"])
+def test_scalar_f_is_summed_in_floats_bit_for_bit(op):
+    # a float f(s) is summed as Python floats, any other value through
+    # numpy; both add the same terms in the same order and stop alike
+    g = lambda s: 2.0 - s + s ** 0.5
+    for q in (0.25, 2.0 / 3.0, 0.9):
+        got = op(g, q)
+        assert type(got) is float
+        zero_d = op(lambda s: np.asarray(g(s)), q)
+        assert type(zero_d) is float and zero_d == got
+        assert op(lambda s: np.array([g(s)]), q).tolist() == [got]
+    nan = float("nan")
+    for f in (lambda s: nan, lambda s: np.asarray(nan), lambda s: np.array([nan])):
+        with pytest.raises(NonConvergenceError):
+            op(f, 0.5)
