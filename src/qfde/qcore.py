@@ -181,34 +181,35 @@ def _lattice(x: float, q: float):
     return accumulate(repeat(q), operator.mul, initial=float(x))
 
 
-def _max_abs(x) -> float:
-    return float(np.max(np.abs(x)))
-
-
 def _lattice_sum(terms, q: float):
     """Sum of one term (float or array) per lattice point, read as needed.
 
     Every Jackson sum of the package stops here: once three consecutive
     terms (not one: f may vanish at a point) fall below REL_TOL times the
     running sum, or with NonConvergenceError past the budget of q.  The
-    norm is picked once, from the first term: a float (np.float64 is one)
-    is summed as a Python float and measured by abs; anything else is read
-    by np.asarray and measured by its largest |entry|.  A scalar sum is
+    first term fixes the path: a float (np.float64 is one) is summed as a
+    Python float and measured by abs; anything else is read by np.asarray
+    and measured by its largest |entry|, one norm for all entries, so an
+    entry much smaller than the largest may stop early.  A scalar sum is
     returned as a Python float.
     """
     budget = _budget(q)
-    total = norm = None
+    total = array = None
     small = 0
     for term in islice(terms, budget):
-        if norm is None:
-            norm = abs if isinstance(term, float) else _max_abs
-        if norm is _max_abs:
+        if array is None:
+            array = not isinstance(term, float)
+        if array:
             term = np.asarray(term, dtype=float)
         total = term if total is None else total + term
-        if norm(term) < REL_TOL * (norm(total) + _TINY):
+        if array:
+            size, sum_size = float(np.max(np.abs(term))), float(np.max(np.abs(total)))
+        else:
+            size, sum_size = abs(term), abs(total)
+        if size < REL_TOL * (sum_size + _TINY):
             small += 1
             if small == 3:
-                return float(total) if np.ndim(total) == 0 else total
+                return total if array and total.ndim else float(total)
         else:
             small = 0
     raise NonConvergenceError(

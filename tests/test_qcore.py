@@ -110,13 +110,15 @@ def test_shifted_factorial_real_domain(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(t=st.floats(0.05, 3.0), j=st.integers(1, 60), q=st.floats(0.15, 0.95),
        alpha=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).filter(
-           lambda a: abs(a) >= 1e-3 and 1.0 + a >= 1e-2))
+           lambda a: abs(a) >= 1e-3 and 1.0 + a >= 1e-3))
 def test_shifted_factorial_real_matches_oracle_on_lattice(t, j, q, alpha):
     # the lattice arguments s = t q^j of the fractional operators.  At j = 1
     # the factor t - q^alpha s = t (1 - q^(1+alpha)) has its pole at
-    # alpha = -1, with condition number about 1/((1+alpha) ln(1/q)): at
-    # 1 + alpha = 1e-3 and q = 0.95 the error reaches 2.6e-12, at 1e-2 it
-    # stays below 3e-13.  The pole itself is pinned below.
+    # alpha = -1, with condition number about 1/((1+alpha) ln(1/q)); the
+    # filter keeps 1 + alpha >= 1e-3, like the one on |alpha|, and the pole
+    # itself is pinned below.  Inside the filter the error still passes
+    # 1e-12 (up to 2.5e-12) at j = 1, 1 + alpha < 2.2e-3 and q > 0.93, a
+    # corner the draws rarely reach
     s = t * q ** j
     with mp.workdps(40):
         ref = float(mp_shifted_real(t, s, alpha, q))
