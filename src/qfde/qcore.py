@@ -187,11 +187,10 @@ def _lattice_sum(terms, q: float):
     Every Jackson sum of the package stops here: once three consecutive
     terms (not one: f may vanish at a point) fall below REL_TOL times the
     running sum, or with NonConvergenceError past the budget of q.  The
-    first term fixes the path: a float (np.float64 is one) is summed as a
-    Python float and measured by abs; anything else is read by np.asarray
-    and measured by its largest |entry|, one norm for all entries, so an
-    entry much smaller than the largest may stop early.  A scalar sum is
-    returned as a Python float.
+    test is taken entry by entry: an array sum stops once every entry has
+    settled, each on its own value.  The first term fixes the path: a
+    float (np.float64 is one) is summed as a Python float; anything else
+    is read by np.asarray.  A scalar sum is returned as a Python float.
     """
     budget = _budget(q)
     total = array = None
@@ -202,11 +201,8 @@ def _lattice_sum(terms, q: float):
         if array:
             term = np.asarray(term, dtype=float)
         total = term if total is None else total + term
-        if array:
-            size, sum_size = float(np.max(np.abs(term))), float(np.max(np.abs(total)))
-        else:
-            size, sum_size = abs(term), abs(total)
-        if size < REL_TOL * (sum_size + _TINY):
+        settled = abs(term) < REL_TOL * (abs(total) + _TINY)
+        if settled.all() if array else settled:
             small += 1
             if small == 3:
                 return total if array and total.ndim else float(total)
@@ -223,8 +219,8 @@ def q_integral_zero(f: QFunction, x: float, q: float):
     an int) is read by np.asarray as floats.
     """
     _check_q(q)
-    if x < 0.0:
-        raise ValueError(f"q-integral needs x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"q-integral needs a finite x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
     terms = (s * (v if isinstance(v := f(s), float) else np.asarray(v, dtype=float))
@@ -234,8 +230,8 @@ def q_integral_zero(f: QFunction, x: float, q: float):
 
 def q_integral(f: QFunction, a: float, b: float, q: float):
     """q-integral over (a, b) as the difference of two Jackson integrals."""
-    if a < 0.0 or a > b:
-        raise ValueError(f"q-integral needs 0 <= a <= b, got a={a}, b={b}")
+    if not 0.0 <= a <= b < math.inf:
+        raise ValueError(f"q-integral needs finite 0 <= a <= b, got a={a}, b={b}")
     return q_integral_zero(f, b, q) - q_integral_zero(f, a, q)
 
 
@@ -243,11 +239,11 @@ def q_derivative(f: QFunction, t: float, q: float):
     """D_q f(t) = (f(qt) - f(t)) / ((q-1) t); at t = 0, the lattice limit.
 
     The limit is probed along 1, q, q^2, ... until two consecutive
-    difference quotients agree to REL_TOL.
+    difference quotients agree to REL_TOL, entry by entry for an array f.
     """
     _check_q(q)
-    if t < 0.0:
-        raise ValueError(f"q-derivative needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"q-derivative needs a finite t >= 0, got t={t}")
     if t > 0.0:
         return (f(q * t) - f(t)) / ((q - 1.0) * t)
     budget = _budget(q)
@@ -256,10 +252,8 @@ def q_derivative(f: QFunction, t: float, q: float):
     prev = None
     for _ in range(budget):
         quot = (np.asarray(f(point), dtype=float) - f0) / point
-        if prev is not None:
-            gap = float(np.max(np.abs(quot - prev)))
-            if gap < REL_TOL * (1.0 + float(np.max(np.abs(quot)))):
-                return float(quot) if quot.ndim == 0 else quot
+        if prev is not None and np.all(abs(quot - prev) < REL_TOL * (1.0 + abs(quot))):
+            return float(quot) if quot.ndim == 0 else quot
         prev = quot
         point *= q
     raise NonConvergenceError(
@@ -286,8 +280,8 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     _check_q(q)
     if n < 1:
         raise ValueError(f"derivative order must be >= 1, got {n}")
-    if t < 0.0:
-        raise ValueError(f"q-derivative needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"q-derivative needs a finite t >= 0, got t={t}")
     if t == 0.0:
         if n == 1:
             return q_derivative(f, 0.0, q)

@@ -19,6 +19,7 @@ Past the table G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, pairwise, repeat
 
 from .l1q import _table
@@ -39,8 +40,8 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
     """
     if alpha <= 0.0:
         raise ValueError(f"fractional integral needs alpha > 0, got {alpha}")
-    if t < 0.0:
-        raise ValueError(f"fractional integral needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"fractional integral needs a finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
     _check_q(q)
@@ -65,8 +66,8 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return f(t)
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
-    if t < 0.0:
-        raise ValueError(f"Caputo derivative needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"Caputo derivative needs a finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
     _check_q(q)
@@ -87,8 +88,8 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return f(t)
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
-    if t <= 0.0:
-        raise ValueError(f"RL derivative needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"RL derivative needs a finite t > 0, got t={t}")
     _check_q(q)
     table = _table(q, alpha, tail_terms(q))
     tail = -(q ** -alpha - 1.0) * q ** len(table.D)    # -D(j) = -c q^j

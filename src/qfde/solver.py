@@ -412,10 +412,7 @@ def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
         _norm(np.atleast_1d(np.asarray(problem.exact(mesh.nodes[n]), dtype=float))
               - trace.states[n])
         for n in range(1, N + 1)])
-    bound = np.array([
-        m2 * mesh.steps[n - 1] ** 2
-        / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
-        for n in range(1, N + 1)])
+    bound = m2 * mesh.steps ** 2 / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
     return ErrorReport(abs_err=abs_err, bound=bound,
                        rate_constants=rate_constants(abs_err, q))
 

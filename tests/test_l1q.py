@@ -185,6 +185,25 @@ def test_l1q_apply_componentwise():
     assert out[1] == pytest.approx(l1q_apply(xs[:, 1], c), rel=1e-15)
 
 
+@pytest.mark.parametrize("q, N", [(0.25, 20), (0.5, 20), (0.9, 60)])
+def test_l1q_apply_is_the_caputo_derivative_of_the_path_linear_below_t1(q, N):
+    # on this mesh D_q x(t_k) = (x^k - x^(k-1))/dt_k, and every Jackson point
+    # of the kernel above t_1 is a node, so the formula is exact for the
+    # path that is x above t_1 and linear on [0, t_1] (7.4e-14 measured).
+    # x(0) = 0 keeps out the cancellation of the Caputo sum near t = 0
+    # (1.2e-8 with e^s in place of expm1(s), at n = 1, q = 1/4, alpha = 0.9)
+    x = lambda s: math.expm1(s) + s ** 0.7
+    mesh = build_mesh(QScale(q), N)
+    t1 = float(mesh.nodes[1])
+    path = lambda s: x(s) if s >= t1 else x(t1) * s / t1
+    samples = np.array([x(float(t)) for t in mesh.nodes])
+    for alpha in (0.1, 0.5, 0.9):
+        for n in range(1, N + 1):
+            got = l1q_apply(samples[:n + 1], coefficients(mesh, n, alpha))
+            ref = caputo_q_derivative(path, alpha, float(mesh.nodes[n]), q)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_coefficient_gaps():
     mesh = build_mesh(QScale(0.5, 1.0), 6)
     c = coefficients(mesh, 1, 0.5)

@@ -215,6 +215,14 @@ def test_q_derivative_n_values():
         q_derivative_n(lambda t: t, 1.0, 0.5, 0)
 
 
+def test_q_derivative_at_zero_settles_each_entry_on_its_own():
+    # the probe compares two quotients entry by entry, so the 1e-6 entry
+    # does not stop on the scale of the 1e6 entry
+    small = lambda s: 1e-6 * (s + s ** 1.5)
+    got = q_derivative(lambda s: np.array([1e6 * s, small(s)]), 0.0, 0.5)
+    assert got[1] == pytest.approx(q_derivative(small, 0.0, 0.5), rel=1e-12)
+
+
 def test_q_derivative_n_at_zero():
     # second derivative of t^2 is (1+q) everywhere, including the origin
     assert q_derivative_n(lambda t: t * t, 0.0, 0.5, 2) == pytest.approx(

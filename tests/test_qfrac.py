@@ -11,7 +11,10 @@ from qfde import (
     frac_q_integral,
     l1q,
     make_problem,
+    q_derivative,
+    q_derivative_n,
     q_gamma,
+    q_integral,
     q_integral_zero,
     qfrac,
     rl_q_derivative,
@@ -237,10 +240,10 @@ def test_vector_valued_f_matches_componentwise_calls(op, alpha):
     q, t = 2.0 / 3.0, 0.8
     got = op(lambda s: np.array([part(s) for part in parts]), alpha, t, q)
     assert got.shape == (2,)
-    # the vector loop stops on one norm, its largest entry, so a part may
-    # stop a few terms before or after its scalar call; at q = 2/3 the stop
-    # rule's tail, REL_TOL r/(1 - r) with r = q^(1/2), is 4.5e-14 of the
-    # largest entry
+    # each entry of the vector loop settles on its own value, but the loop
+    # runs until every entry has, so a part may sum a few terms past its
+    # scalar call; at q = 2/3 the stop rule's tail, REL_TOL r/(1 - r) with
+    # r = q^(1/2), is 4.5e-14 of the part
     for value, part in zip(got, parts):
         assert value == pytest.approx(op(part, alpha, t, q), rel=1e-13)
 
@@ -266,3 +269,41 @@ def test_scalar_f_is_summed_in_floats_bit_for_bit(op):
     for f in (lambda s: nan, lambda s: np.asarray(nan), lambda s: np.array([nan])):
         with pytest.raises(NonConvergenceError):
             op(f, 0.5)
+
+
+@pytest.mark.parametrize("op", [
+    lambda f, q: frac_q_integral(f, 0.5, 1.0, q),
+    lambda f, q: frac_q_integral(f, 1.5, 1.0, q),
+    lambda f, q: caputo_q_derivative(f, 0.5, 1.0, q),
+    lambda f, q: rl_q_derivative(f, 0.5, 1.0, q),
+    lambda f, q: q_integral_zero(f, 1.0, q),
+], ids=["integral", "integral-order-1.5", "caputo", "rl", "q_integral_zero"])
+def test_each_entry_of_a_vector_sum_stops_on_its_own_value(op):
+    # one entry 1e-6 of the other: each entry settles on its own value, so
+    # a part sums at least as far as its scalar call, and the two differ by
+    # at most that call's tail (6.4e-13 measured)
+    parts = (lambda s: 1.0 + s * s, lambda s: 1e-6 * s ** 0.5)
+    got = op(lambda s: np.array([part(s) for part in parts]), 0.99)
+    for value, part in zip(got, parts):
+        assert value == pytest.approx(op(part, 0.99), rel=1e-12)
+
+
+@pytest.mark.parametrize("point", [float("nan"), float("inf")])
+@pytest.mark.parametrize("op", [
+    lambda f, t: q_derivative(f, t, 0.5),
+    lambda f, t: q_derivative_n(f, t, 0.5, 2),
+    lambda f, t: q_integral_zero(f, t, 0.5),
+    lambda f, t: q_integral(f, 0.0, t, 0.5),
+    lambda f, t: frac_q_integral(f, 0.5, t, 0.5),
+    lambda f, t: caputo_q_derivative(f, 0.5, t, 0.5),
+    lambda f, t: rl_q_derivative(f, 0.5, t, 0.5),
+], ids=["q_derivative", "q_derivative_n", "q_integral_zero", "q_integral",
+        "integral", "caputo", "rl"])
+def test_a_non_finite_point_is_refused_before_f_is_called(op, point):
+    # nan fails every comparison, so each point check must be a range check;
+    # a Jackson sum at nan or inf would call f until its budget runs out
+    calls = []
+    f = lambda s: calls.append(s) or s * s + s
+    with pytest.raises(ValueError, match=str(point)):
+        op(f, point)
+    assert calls == []
