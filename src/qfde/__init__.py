@@ -39,7 +39,6 @@ from .solver import (
     ErrorReport,
     IVProblem,
     SolveTrace,
-    SolverConfig,
     contraction_constant,
     error_report,
     solve_ivp,
@@ -53,7 +52,7 @@ __all__ = [
     "FixedPointError", "MonotonicityError", "NonConvergenceError", "PoleError",
     "QCalculusError", "SingularKernelError",
     "QScale", "QMesh", "L1qCoefficients", "WeightTable",
-    "IVProblem", "SolverConfig", "SolveTrace", "ErrorReport",
+    "IVProblem", "SolveTrace", "ErrorReport",
     "q_bracket", "q_factorial", "shifted_factorial_int", "shifted_factorial_real",
     "q_gamma", "q_beta", "q_integral", "q_integral_zero", "q_derivative",
     "q_derivative_n",

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import solver
 from .errors import FixedPointError, QCalculusError
 from .l1q import _check_m2
 from .problems import default_alpha, make_problem, problem_names
@@ -31,7 +32,6 @@ from .qcore import QScale, q_derivative_n
 from .solver import (
     IVProblem,
     SolveTrace,
-    SolverConfig,
     error_report,
     rate_constants,
     solve_ivp,
@@ -53,7 +53,6 @@ class ProblemSpec:
     b: float = 1.0
     N: int = 10
     alpha: Optional[float] = None
-    config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if self.alpha is None:
@@ -96,8 +95,7 @@ def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
     rows = list(zip(nodes.tolist(), x_num.tolist(), x_exact, abs_err,
                     trace.fp_iterations[:solved].tolist()))
     meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
-            "N": spec.N, "b": spec.b, "config": spec.config,
-            "wall_time_s": wall}
+            "N": spec.N, "b": spec.b, "wall_time_s": wall}
     return RunRecord(rows=rows, metadata=meta)
 
 
@@ -114,7 +112,7 @@ def _solve(spec: ProblemSpec, problem: IVProblem) -> RunRecord:
     """run_solve with the problem of spec already built."""
     start = time.perf_counter()
     try:
-        trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
+        trace = solve_ivp(problem, spec.scale(), spec.N)
     except FixedPointError as err:
         err.record = _record_from_trace(spec, err.trace, problem,
                                         time.perf_counter() - start)
@@ -162,12 +160,11 @@ def parse_csv(stream) -> RunRecord:
 def emit_table(record: RunRecord, stream) -> None:
     meta = record.metadata
     if meta:
-        config = meta["config"]
         stream.write(
             f"# problem={meta['problem']} q={meta['q']:.12g} "
             f"alpha={meta['alpha']:.12g} N={meta['N']} b={meta['b']:.12g} "
-            f"fp_tol={config.fp_tol:g} max_iters={config.max_fp_iters} "
-            f"perturb={config.start_perturbation:g} "
+            f"fp_tol={solver.FP_TOL:g} max_iters={solver.MAX_FP_ITERS} "
+            f"perturb={solver.START_PERTURBATION:g} "
             f"wall={meta['wall_time_s']:.3g}s\n")
     if record.has_exact:
         stream.write(f"{'t_n':>24} {'x_num':>24} {'x_exact':>24} {'abs_err':>13} {'fp':>4}\n")
@@ -272,7 +269,7 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
         raise ValueError(f"problem {spec.name!r} has no exact solution")
     if m2 is not None:
         _check_m2(m2)   # before the solve, which a bad m2 would waste
-    trace = solve_ivp(problem, spec.scale(), spec.N, spec.config)
+    trace = solve_ivp(problem, spec.scale(), spec.N)
     if m2 is None:
         m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)
     L1 = trace.contraction_L1 if trace.contraction_L1 is not None else 0.0
@@ -338,15 +335,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=None,
                        help="fractional order (problem default if omitted)")
         p.add_argument("--b", type=float, default=1.0, help="horizon (default 1)")
-        p.add_argument("--fp-tol", type=float, default=SolverConfig.fp_tol)
-        p.add_argument("--max-iters", type=int, default=SolverConfig.max_fp_iters)
-        p.add_argument("--perturb", type=float,
-                       default=SolverConfig.start_perturbation,
-                       help="relative nudge of the previous state that starts "
-                            "step 1, components at rest, and the re-solve of a "
-                            "step that fails from the predicted start (its "
-                            "fp_iters then count both attempts; default "
-                            "%(default)g)")
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="run the implicit scheme once")
@@ -370,10 +358,8 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args, N: int) -> ProblemSpec:
-    config = SolverConfig(fp_tol=args.fp_tol, max_fp_iters=args.max_iters,
-                          start_perturbation=args.perturb)
     return ProblemSpec(name=args.problem, q=args.q, b=args.b, N=N,
-                       alpha=args.alpha, config=config)
+                       alpha=args.alpha)
 
 
 def main(argv=None) -> int:

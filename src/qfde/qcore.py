@@ -239,7 +239,9 @@ def q_derivative(f: QFunction, t: float, q: float):
     """D_q f(t) = (f(qt) - f(t)) / ((q-1) t); at t = 0, the lattice limit.
 
     The limit is probed along 1, q, q^2, ... until two consecutive
-    difference quotients agree to REL_TOL, entry by entry for an array f.
+    difference quotients agree to REL_TOL times the largest quotient seen,
+    entry by entry for an array f.  The probe fails once a quotient is not
+    finite or the point underflows to 0.
     """
     _check_q(q)
     if not 0.0 <= t < math.inf:
@@ -248,17 +250,20 @@ def q_derivative(f: QFunction, t: float, q: float):
         return (f(q * t) - f(t)) / ((q - 1.0) * t)
     budget = _budget(q)
     f0 = np.asarray(f(0.0), dtype=float)
-    point = 1.0
-    prev = None
+    point, prev, size = 1.0, None, 0.0
     for _ in range(budget):
         quot = (np.asarray(f(point), dtype=float) - f0) / point
-        if prev is not None and np.all(abs(quot - prev) < REL_TOL * (1.0 + abs(quot))):
+        if not np.all(np.isfinite(quot)):
+            break
+        size = np.maximum(size, abs(quot))
+        if prev is not None and np.all(abs(quot - prev) <= REL_TOL * size):
             return float(quot) if quot.ndim == 0 else quot
-        prev = quot
-        point *= q
+        prev, point = quot, point * q
+        if point == 0.0:
+            break
     raise NonConvergenceError(
-        f"q-derivative limit at t=0 did not settle within {budget} probes "
-        f"at q={q!r}")
+        f"q-derivative limit at t=0 did not settle at q={q!r}: the probe "
+        f"stopped at the point {point!r} (last quotient {quot}, budget {budget})")
 
 
 def _iterated_coefficients(n: int, q: float) -> np.ndarray:

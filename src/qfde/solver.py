@@ -52,11 +52,11 @@ that point the residuals grow, so the plain updates carry the iterate
 away from it before any secant step could extrapolate back; for regular
 Lipschitz problems the nudge is absorbed in the first update.
 
-A step that fails from the prediction, by exhausting max_fp_iters,
+A step that fails from the prediction, by exhausting MAX_FP_ITERS,
 going STALL_UPDATES updates in a row without a new least residual (it
 cycles), meeting a non-finite value or an ArithmeticError or ValueError
 raised by f (a prediction may leave f's domain), is solved once more
-from the nudged start, which has the whole max_fp_iters budget, before
+from the nudged start, which has the whole MAX_FP_ITERS budget, before
 :class:`FixedPointError` is raised; its fp_iterations and
 fp_increment_history then count the updates of both attempts.  A
 non-finite value stops an attempt at once, so a right-hand side that is
@@ -66,7 +66,7 @@ f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
 Each input is checked once, where it enters: q and b by QScale, N by
 build_mesh (N = len(fsamples) for :func:`solve_linear_history`), alpha
-and x0 by :class:`IVProblem`, the iteration settings by SolverConfig.
+and x0 by :class:`IVProblem`.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share only read-only weight tables and cached values of
@@ -86,9 +86,18 @@ from .errors import FixedPointError
 from .l1q import QMesh, _check_m2, _table, build_mesh
 from .qcore import QFunction, QScale, q_gamma
 
+# The fixed-point iteration of each step; solve_ivp reads these at each
+# call.  An update is accepted once |g(x) - x| <= FP_TOL (1 + |g(x)|).
+FP_TOL = 1e-13
+# Updates an attempt may take before it fails.
+MAX_FP_ITERS = 200
+# Relative nudge of x^{n-1} that starts step 1, every component whose
+# last increment is exactly zero, and the re-solve of a step that fails
+# from the predicted start.
+START_PERTURBATION = 1e-8
 # Updates in a row without a new least residual after which the attempt
 # from the predicted start gives way to the nudged one; the nudged
-# attempt has the whole max_fp_iters budget.
+# attempt has the whole MAX_FP_ITERS budget.
 STALL_UPDATES = 8
 
 
@@ -118,27 +127,6 @@ def _initial_value(x0) -> np.ndarray:
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial value x0 must be finite, got {x0}")
     return x0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-point iteration policy for the implicit step."""
-
-    fp_tol: float = 1e-13
-    max_fp_iters: int = 200
-    # Relative nudge of x^{n-1} that starts step 1, every component whose
-    # last increment is exactly zero, and the re-solve of a step that
-    # fails from the predicted start.
-    start_perturbation: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.fp_tol < math.inf:
-            raise ValueError(f"fp_tol must be finite and positive, got {self.fp_tol}")
-        if self.max_fp_iters < 1:
-            raise ValueError(f"max_fp_iters must be >= 1, got {self.max_fp_iters}")
-        if not 0.0 <= self.start_perturbation < math.inf:
-            raise ValueError(f"start_perturbation must be finite and >= 0, "
-                             f"got {self.start_perturbation}")
 
 
 @dataclass
@@ -231,12 +219,11 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> Non
         prev = x
 
 
-def solve_ivp(problem: IVProblem, scale: QScale, N: int,
-              config: SolverConfig = SolverConfig()) -> SolveTrace:
+def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     """March the implicit scheme over the N-node geometric mesh.
 
     Raises :class:`FixedPointError` (carrying the partial trace) if a
-    step exhausts max_fp_iters or meets a non-finite value from the
+    step exhausts MAX_FP_ITERS or meets a non-finite value from the
     nudged start, tried after any failure of the predicted one (see the
     module docstring).
     """
@@ -256,8 +243,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int,
                        residuals=residuals, contraction_L1=L1,
                        fp_increment_history=history)
 
-    f, fp_tol, max_iters = problem.f, config.fp_tol, config.max_fp_iters
-    pert = config.start_perturbation
+    f, fp_tol, max_iters, pert = problem.f, FP_TOL, MAX_FP_ITERS, START_PERTURBATION
     q = scale.q
     c = 1.0 + q + q * q
     # Extrapolation weights to t_n from the last three states (two at

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from qfde import MonotonicityError, NonConvergenceError, cli
+from qfde import MonotonicityError, NonConvergenceError, cli, solver
 from qfde.cli import (
     EXIT_ARGS,
     EXIT_BOUND,
@@ -76,7 +76,7 @@ def test_csv_without_exact_solution():
     spec = ProblemSpec(name="constant", q=0.5, N=2, alpha=0.5)
     problem = spec.problem()
     problem.exact = None
-    trace = qfde.solve_ivp(problem, spec.scale(), spec.N, spec.config)
+    trace = qfde.solve_ivp(problem, spec.scale(), spec.N)
     from qfde.cli import _record_from_trace
 
     record = _record_from_trace(spec, trace, problem, 0.0)
@@ -144,10 +144,6 @@ def test_main_invalid_arguments(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["solve", "--fp-tol", "nan"], "fp_tol must be finite", id="fp-tol-nan"),
-    pytest.param(["solve", "--fp-tol", "inf"], "fp_tol must be finite", id="fp-tol-inf"),
-    pytest.param(["solve", "--perturb", "nan"], "start_perturbation must be finite",
-                 id="perturb-nan"),
     pytest.param(["bounds", "--m2", "nan"], "m2 must not be NaN", id="m2-nan"),
     pytest.param(["solve", "--b", "inf"], "horizon b must be positive and finite",
                  id="b-inf"),
@@ -173,6 +169,19 @@ def test_main_bounds_refuses_a_bad_m2_before_the_solve(m2, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("flag", [["--fp-tol", "1e-10"], ["--max-iters", "3"],
+                                  ["--perturb", "1e-7"]])
+def test_main_has_no_solver_setting_flags(flag, monkeypatch, capsys):
+    # the fixed-point settings are module constants of qfde.solver
+    calls = []
+    monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", "example1", "--q", "1/4", "--N", "10"] + flag)
+    assert info.value.code == EXIT_ARGS
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_parser_built_once_and_left_unchanged(capsys):
     parser = cli._build_parser()
     assert cli._build_parser() is parser
@@ -189,10 +198,11 @@ def test_parser_built_once_and_left_unchanged(capsys):
     assert (second.alpha, second.format) == (None, "table")
 
 
-def test_main_solver_failure_writes_partial(tmp_path, capsys):
+def test_main_solver_failure_writes_partial(tmp_path, monkeypatch, capsys):
     out = tmp_path / "partial.csv"
+    monkeypatch.setattr(solver, "MAX_FP_ITERS", 3)
     code = main(["solve", "--problem", "example2", "--q", "2/3", "--N", "5",
-                 "--max-iters", "3", "--format", "csv", "--out", str(out)])
+                 "--format", "csv", "--out", str(out)])
     assert code == EXIT_SOLVER
     assert parse_csv(out.open()).rows == []  # step 1 failed, header only
     assert "did not converge" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -221,6 +222,39 @@ def test_q_derivative_at_zero_settles_each_entry_on_its_own():
     small = lambda s: 1e-6 * (s + s ** 1.5)
     got = q_derivative(lambda s: np.array([1e6 * s, small(s)]), 0.0, 0.5)
     assert got[1] == pytest.approx(q_derivative(small, 0.0, 0.5), rel=1e-12)
+
+
+def test_q_derivative_at_zero_stops_relative_to_the_quotients():
+    # D_q f(0) = 1e-6 exactly; the s^1.5 part's quotients must fall to
+    # REL_TOL of 1e-6, not of 1
+    got = q_derivative(lambda s: 1e-6 * (s + s ** 1.5), 0.0, 0.5)
+    assert got == pytest.approx(1e-6, rel=1e-12, abs=0.0)
+
+
+def test_q_derivative_at_zero_fails_once_the_probe_cannot_settle():
+    calls = []
+
+    def root(s):
+        calls.append(s)
+        return s ** 0.5
+
+    # the quotients of s^0.5 grow until the probe point underflows to 0
+    # (538 probes at q = 1/4); a 0/0 quotient there would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="point 0.0"):
+            q_derivative(root, 0.0, 0.25)
+    assert len(calls) <= 600
+
+    def spike(s):
+        calls.append(s)
+        return math.inf if 0.0 < s < 1e-3 else s ** 0.5
+
+    # an infinite quotient is never taken for a settled one
+    calls.clear()
+    with pytest.raises(NonConvergenceError, match="last quotient inf"):
+        q_derivative(spike, 0.0, 0.25)
+    assert len(calls) <= 10
 
 
 def test_q_derivative_n_at_zero():

@@ -14,7 +14,6 @@ from qfde import (
     l1q,
     IVProblem,
     QScale,
-    SolverConfig,
     build_mesh,
     caputo_q_derivative,
     coefficients,
@@ -27,6 +26,7 @@ from qfde import (
     stability_bound,
     truncation_bound,
 )
+from qfde import solver
 from qfde.qcore import tail_terms
 from qfde.solver import STALL_UPDATES, rate_constants
 
@@ -90,14 +90,14 @@ def test_fixed_point_increments_contract():
             assert nxt <= L1 * prev + 1e-14
 
 
-def test_step_limit_unique_for_lipschitz():
+def test_step_limit_unique_for_lipschitz(monkeypatch):
     L = 0.4
     problem = IVProblem(f=lambda t, x: L * x + t, alpha=0.5,
                         x0=np.array([1.0]), lipschitz_L=L)
     scale = QScale(0.5, 1.0)
-    base = solve_ivp(problem, scale, 8, SolverConfig())
-    wide = solve_ivp(problem, scale, 8,
-                     SolverConfig(start_perturbation=1e-7))
+    base = solve_ivp(problem, scale, 8)
+    monkeypatch.setattr(solver, "START_PERTURBATION", 1e-7)
+    wide = solve_ivp(problem, scale, 8)
     assert np.max(np.abs(base.states - wide.states)) <= 1e-13 * 10
 
 
@@ -300,11 +300,11 @@ def test_error_report_rejects_nan_m2():
         error_report(trace, problem, m2=math.nan)
 
 
-def test_fixed_point_failure_carries_partial_trace():
+def test_fixed_point_failure_carries_partial_trace(monkeypatch):
     problem = make_problem("example2", q=2.0 / 3.0)
+    monkeypatch.setattr(solver, "MAX_FP_ITERS", 3)
     with pytest.raises(FixedPointError) as info:
-        solve_ivp(problem, QScale(2.0 / 3.0, 1.0), 10,
-                  SolverConfig(max_fp_iters=3))
+        solve_ivp(problem, QScale(2.0 / 3.0, 1.0), 10)
     err = info.value
     assert err.step == 1
     assert err.trace.states.shape[0] == err.step  # nodes before the failure
@@ -374,13 +374,7 @@ def test_vector_problem_componentwise():
     assert max(errs_affine) <= 1e-10
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(fp_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_fp_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(start_perturbation=-1e-9)
+def test_ivproblem_validation():
     with pytest.raises(ValueError):
         IVProblem(f=lambda t, x: x, alpha=1.2, x0=np.array([1.0]))
     with pytest.raises(ValueError, match="1-D"):
@@ -389,14 +383,6 @@ def test_solver_config_validation():
     assert IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(3)).d == 3
     with pytest.raises(TypeError):
         IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(2), d=2)
-
-
-@pytest.mark.parametrize("field", ["fp_tol", "start_perturbation"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_solver_config_rejects_non_finite_values(field, value):
-    # an infinite fp_tol accepts every first update; a NaN one accepts none
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -513,8 +499,7 @@ def test_fallback_start_solves_where_the_prediction_fails():
     q, alpha, L, N = 0.125, 0.5, 1.5, 40
     problem = IVProblem(f=lambda t, x: L * np.sin(x) + t, alpha=alpha,
                         x0=np.array([1.0]), lipschitz_L=L)
-    config = SolverConfig()
-    trace = solve_ivp(problem, QScale(q, 1.0), N, config)
+    trace = solve_ivp(problem, QScale(q, 1.0), N)
     assert trace.contraction_L1 == pytest.approx(1.96, abs=5e-3)
     increments = trace.fp_increment_history[-1]
     least = np.minimum.accumulate(increments)
@@ -522,8 +507,8 @@ def test_fallback_start_solves_where_the_prediction_fails():
                 if least[k] == least[k - STALL_UPDATES])
     assert increments[stop] > 1.0                       # predicted attempt cycling
     assert 0 < len(increments) - 1 - stop < 20          # nudged attempt converged
-    assert increments[-1] <= config.fp_tol * 10.0
-    assert trace.fp_iterations[-1] == len(increments) - 1 < config.max_fp_iters // 5
+    assert increments[-1] <= solver.FP_TOL * 10.0
+    assert trace.fp_iterations[-1] == len(increments) - 1 < solver.MAX_FP_ITERS // 5
     residuals = mp_l1q_residuals(q, alpha, lambda t, x: L * mp.sin(x) + t,
                                  trace.states[:, 0])
     assert max(residuals) <= 1e-12
