@@ -14,10 +14,10 @@ Hypergeometric Series*, 2nd ed., ch. 1):
     G(m)   = (q^(m+1); q)_inf / (q^(m+1-alpha); q)_inf,
     S(n)   = (1-q) sum_{i>=0} q^i G(n-1+i)  (the Jackson series of b_1).
 
-:func:`weight_table` builds G, S and the gaps of the weight chain for
-every distance at once from downward recurrences, so one table serves
-every node of every mesh with that q and alpha, and the lattice operators
-of :mod:`qfde.qfrac`: at s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j),
+:func:`weight_table` builds G, S and the gaps D of G for every distance
+at once from downward recurrences, so one table serves every node of
+every mesh with that q and alpha, and the lattice operators of
+:mod:`qfde.qfrac`: at s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j),
 and D(j) weighs f(s) in the RL derivative.  The solver, :func:`coefficients`
 and those operators read the tables of the TABLES_KEPT most recently used
 (q, alpha) from one store per process.  A table is never written after it
@@ -60,11 +60,10 @@ class WeightTable:
 
         b_k(n)           = t_n^(-alpha) G[n-k]   (2 <= k <= n),
         b_1(n)           = t_n^(-alpha) S[n],
-        b_{k+1} - b_k    = t_n^(-alpha) D[n-k]   (2 <= k < n),
-        b_2 - b_1        = t_n^(-alpha) R[n]     (n >= 2).
+        b_{k+1} - b_k    = t_n^(-alpha) D[n-k]   (2 <= k < n).
 
-    Arrays are indexed by distance m or node n directly; S[0], R[0],
-    R[1] and D[0] are unused.
+    Arrays are indexed by distance m or node n directly; S[0] and D[0]
+    are unused.
     """
 
     q: float
@@ -72,10 +71,9 @@ class WeightTable:
     G: np.ndarray   # G[m], m = 0..size-1
     D: np.ndarray   # D[m] = G[m-1] - G[m], m = 1..size-1
     S: np.ndarray   # S[n], n = 1..size
-    R: np.ndarray   # R[n] = G[n-2] - S[n], n = 2..size
 
     def __post_init__(self):
-        for a in (self.G, self.D, self.S, self.R):
+        for a in (self.G, self.D, self.S):
             a.setflags(write=False)
 
 
@@ -86,11 +84,9 @@ class L1qCoefficients:
     q: float
     alpha: float
     weights: np.ndarray  # weights[k-1] = b_k
-    gaps: np.ndarray     # gaps[k-1] = b_{k+1} - b_k, k = 1..n-1
 
     def __post_init__(self):
         self.weights.setflags(write=False)
-        self.gaps.setflags(write=False)
 
 
 def build_mesh(scale: QScale, N: int) -> QMesh:
@@ -117,7 +113,7 @@ def build_mesh(scale: QScale, N: int) -> QMesh:
 
 
 def weight_table(q: float, alpha: float, size: int) -> WeightTable:
-    """G, D, S and R of :class:`WeightTable` for target nodes n <= size.
+    """G, D and S of :class:`WeightTable` for target nodes n <= size.
 
     One downward pass from a tail index M = max(size, T), where
     T = :func:`~qfde.qcore.tail_terms` (q^T <= 1e-14), runs the recurrences
@@ -125,20 +121,20 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
         G(m-1) = G(m) (1-q^m)/(1-q^(m-alpha)),  that is G(m-1) = G(m) + D(m),
         D(m)   = G(m) q^m (q^(-alpha)-1)/(1-q^(m-alpha)),
         S(n)   = (1-q) G(n-1) + q S(n+1),
-        R(n)   = D(n-1) + q R(n+1),
 
-    carrying G - 1 and D in units of q^m, S - 1 in units of q^(n-1), and
-    R in units of q^(n-1) with its limit c/(1-q^2), c = q^(-alpha) - 1,
-    split off and the rest in units of q^(2(n-1)).  Each is then a sum of
-    positive terms, free of cancellation, and of order 1, so none
-    underflows where q^m does.  The pass starts from the leading terms of
-    the tail sums, whose relative error is O(q^M) <= 1e-14; each enters
-    its weight scaled by q^m, so it stays below an ulp of every entry, and
-    a larger table holds the same entries bit for bit (the tests check
-    sizes on both sides of T).
+    carrying G - 1 and D in units of q^m and S - 1 in units of q^(n-1).
+    Each is then a sum of positive terms, free of cancellation, and of
+    order 1, so none underflows where q^m does.  The pass starts from the
+    leading terms of the tail sums, whose relative error is
+    O(q^M) <= 1e-14; each enters its weight scaled by q^m, so it stays
+    below an ulp of every entry, and a larger table holds the same entries
+    bit for bit (the tests check sizes on both sides of T).
 
-    The strict chain t_n^(-alpha) < b_1 < ... < b_n, that is D > 0 and
-    S - 1 > 0, is asserted on the scaled values as a corruption detector.
+    The strict chain t_n^(-alpha) < b_1 < b_2 < ... < b_n is asserted on
+    the scaled values as a corruption detector: S - 1 > 0 is the first
+    link and D > 0 the links from b_2 on.  b_1 < b_2 needs no check of
+    its own: S(n) = (1-q) sum_i q^i G(n-1+i) is a weighted average of
+    G(n-1), G(n), ..., which decrease, so S(n) <= G(n-1) < G(n-2).
     """
     _check_q(q)
     if not 0.0 < alpha < 1.0:
@@ -147,7 +143,7 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
         raise ValueError(f"weight table needs size >= 1, got {size}")
     M = max(size, tail_terms(q))
     # Only the powers span the tail (16 bytes per term).  The scaled values
-    # are written into the four arrays returned, and scaled back in place.
+    # are written into the three arrays returned, and scaled back in place.
     qm = np.arange(M + 1, dtype=float)
     den = qm - alpha
     np.subtract(1.0, np.power(q, den, out=den), out=den)
@@ -157,21 +153,17 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     G = np.zeros(size)        # (G(m) - 1)/q^m
     D = np.zeros(size + 1)    # D(m)/q^m
     S = np.zeros(size + 1)    # (S(n) - 1)/q^(n-1)
-    R = np.zeros(size + 2)    # (R(n)/q^(n-1) - c/(1-q^2))/q^(n-1)
-    g, d, e, v = map(memoryview, (G, D, S, R))
+    g, d, e = map(memoryview, (G, D, S))
     g_m = c * q / (1.0 - q)
     e_m = c * q / (1.0 - qq)
-    v_m = c * (g_m + 1.0 + c) / (1.0 - qq * q)
     for m, q_m, den_m in zip(range(M, 0, -1), memoryview(qm)[M:0:-1],
                              memoryview(den)[M:0:-1]):
         d_m = (1.0 + q_m * g_m) * c / den_m
-        # (d_m - c)/q^m = c (g_m + q^-alpha)/den_m, with q^-alpha = 1 + c
-        v_m = c * (g_m + 1.0 + c) / den_m + qq * q * v_m
         g_m = q * (g_m + d_m)
         e_m = (1.0 - q) * g_m + qq * e_m
         if m <= size:
-            d[m], g[m - 1], e[m], v[m + 1] = d_m, g_m, e_m, v_m
-    D, R = D[:size], R[:size + 1]
+            d[m], g[m - 1], e[m] = d_m, g_m, e_m
+    D = D[:size]
     if not (np.all(D[1:] > 0.0) and np.all(S[1:] > 0.0)):
         raise MonotonicityError(
             f"weight chain t_n^-alpha < b_1 < ... < b_n violated for "
@@ -181,18 +173,14 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     D[1:] *= qm[1:size]
     S[1:] *= qm[:size]
     S[1:] += 1.0
-    q_n = qm[1:size]      # q^(n-1), n = 2..size
-    R[2:] *= q_n
-    R[2:] += c / (1.0 - qq)
-    R[2:] *= q_n
-    return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S, R=R)
+    return WeightTable(q=q, alpha=alpha, G=G, D=D, S=S)
 
 
 # Weight tables kept per process, keyed on (q, alpha), least recently used
 # first.  The solver workloads of the benchmark use four keys; lattice-ops
 # keeps two per q live (the Caputo derivative's alpha and the integral's
-# 1 - alpha), six per round.  A table takes 32 bytes per entry (about
-# 10 KB at N = 300, 1 MB at T(0.999) = 32,221, 6 MB at N = 200,000).
+# 1 - alpha), six per round.  A table takes 24 bytes per entry (about
+# 7 KB at N = 300, 0.77 MB at T(0.999) = 32,221, 4.8 MB at N = 200,000).
 TABLES_KEPT = 4
 _tables: dict = {}
 _tables_lock = threading.Lock()
@@ -220,7 +208,7 @@ def _table(q: float, alpha: float, size: int) -> WeightTable:
 
 
 def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
-    """Weights b_1 .. b_n for target node n, and the gaps of their chain.
+    """Weights b_1 .. b_n for target node n.
 
     Read off the kept weight table of (q, alpha) and scaled by
     t_n^(-alpha); the table asserts the strict chain
@@ -231,9 +219,7 @@ def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
     table = _table(mesh.scale.q, alpha, n)
     scale = mesh.nodes[n] ** (-alpha)
     weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
-    gaps = scale * np.concatenate((table.R[n:n + 1] if n >= 2 else [],
-                                   table.D[1:n - 1][::-1]))
-    return L1qCoefficients(q=mesh.scale.q, alpha=alpha, weights=weights, gaps=gaps)
+    return L1qCoefficients(q=mesh.scale.q, alpha=alpha, weights=weights)
 
 
 def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients):

@@ -252,7 +252,9 @@ def q_derivative(f: QFunction, t: float, q: float):
     f0 = np.asarray(f(0.0), dtype=float)
     point, prev, size = 1.0, None, 0.0
     for _ in range(budget):
-        quot = (np.asarray(f(point), dtype=float) - f0) / point
+        value = np.asarray(f(point), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            quot = (value - f0) / point
         if not np.all(np.isfinite(quot)):
             break
         size = np.maximum(size, abs(quot))

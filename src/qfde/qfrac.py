@@ -40,11 +40,11 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
     """
     if alpha <= 0.0:
         raise ValueError(f"fractional integral needs alpha > 0, got {alpha}")
+    _check_q(q)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"fractional integral needs a finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
-    _check_q(q)
     scale, kernel = 1.0, (shifted_factorial_real(t, q * s, alpha - 1.0, q)
                           for s in _lattice(t, q))
     if 0.0 < 1.0 - alpha < 1.0:   # 1 - alpha is 1.0 for alpha below 1.1e-16
@@ -62,15 +62,15 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
     """
     if alpha >= 1.0:
         raise NotImplementedError("orders alpha >= 1 are out of scope")
+    _check_q(q)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"Caputo derivative needs a finite t >= 0, got t={t}")
     if alpha == 0.0:
         return f(t)
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"Caputo derivative needs a finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
-    _check_q(q)
     steps = pairwise(map(f, _lattice(t, q)))    # (f(s_j), f(s_(j+1)))
     total = _lattice_sum((g * (a - b) for g, (a, b) in zip(_kernel(q, alpha), steps)), q)
     return t ** -alpha * total / q_gamma(1.0 - alpha, q)
@@ -84,13 +84,14 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
     """
     if alpha >= 1.0:
         raise NotImplementedError("orders alpha >= 1 are out of scope")
+    _check_q(q)
+    if not (0.0 < t < math.inf or t == 0.0 and alpha <= 0.0):
+        raise ValueError(f"RL derivative needs a finite t > 0 (t >= 0 at "
+                         f"orders alpha <= 0), got t={t}")
     if alpha == 0.0:
         return f(t)
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"RL derivative needs a finite t > 0, got t={t}")
-    _check_q(q)
     table = _table(q, alpha, tail_terms(q))
     tail = -(q ** -alpha - 1.0) * q ** len(table.D)    # -D(j) = -c q^j
     weights = chain(table.G[:1].tolist(), (-table.D[1:]).tolist(), _lattice(tail, q))

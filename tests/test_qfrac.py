@@ -221,6 +221,21 @@ def test_frac_integral_rejects_a_bad_scale_index():
                 frac_q_integral(lambda s: s, alpha, 1.0, q)
 
 
+@pytest.mark.parametrize("alpha, t, q", [
+    (0.5, 0.0, 5.0), (0.5, 0.0, -1.0), (0.5, 0.0, float("nan")),
+    (0.0, 1.0, 5.0), (0.0, 1.0, -1.0), (0.0, 1.0, float("nan")),
+    (0.0, float("nan"), 0.5)])
+@pytest.mark.parametrize("op", [caputo_q_derivative, rl_q_derivative, frac_q_integral])
+def test_q_and_t_are_checked_before_the_early_returns(op, alpha, t, q):
+    # t = 0 and alpha = 0 have closed answers (0 and f(t)); neither may be
+    # given for an invalid q or a non-finite t
+    calls = []
+    f = lambda s: calls.append(s) or 1.0 + s
+    with pytest.raises(ValueError):
+        op(f, alpha, t, q)
+    assert calls == []
+
+
 def test_caputo_of_square_root_near_q_one():
     # D^(1/2) s^(1/2) = Gamma_q(3/2) at t = 1.  The Jackson terms of
     # D_q s^(1/2) fall like q^(j/2), so the loop stops at term j = 2 T(q)
