@@ -11,7 +11,6 @@ from .errors import (
     SingularKernelError,
 )
 from .l1q import (
-    L1qCoefficients,
     QMesh,
     WeightTable,
     build_mesh,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FixedPointError", "MonotonicityError", "NonConvergenceError", "PoleError",
     "QCalculusError", "SingularKernelError",
-    "QScale", "QMesh", "L1qCoefficients", "WeightTable",
+    "QScale", "QMesh", "WeightTable",
     "IVProblem", "SolveTrace", "ErrorReport",
     "q_bracket", "q_factorial", "shifted_factorial_int", "shifted_factorial_real",
     "q_gamma", "q_beta", "q_integral", "q_integral_zero", "q_derivative",

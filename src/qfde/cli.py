@@ -275,7 +275,8 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     L1 = trace.contraction_L1 if trace.contraction_L1 is not None else 0.0
 
     report_data = error_report(trace, problem, m2=m2, L1=L1)
-    ratios = report_data.abs_err / np.maximum(report_data.bound, 1e-300)
+    ratios = np.array([e / b if b else (math.inf if e else 0.0) for e, b in
+                       zip(report_data.abs_err.tolist(), report_data.bound.tolist())])
     fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
                for t in trace.mesh.nodes[1:])
     sbound = stability_bound(problem.x0, fmax, float(trace.mesh.nodes[-1]),

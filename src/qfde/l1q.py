@@ -12,23 +12,23 @@ Hypergeometric Series*, 2nd ed., ch. 1):
 
     b_k(n) = t_n^(-alpha) G(n-k)  for k >= 2,    b_1(n) = t_n^(-alpha) S(n),
     G(m)   = (q^(m+1); q)_inf / (q^(m+1-alpha); q)_inf,
-    S(n)   = (1-q) sum_{i>=0} q^i G(n-1+i)  (the Jackson series of b_1).
+    S(n)   = (1-q) sum_{i>=0} q^i G(n-1+i)  (the Jackson series of b_1),
 
-:func:`weight_table` builds G, S and the gaps D of G for every distance
-at once from downward recurrences, so one table serves every node of
-every mesh with that q and alpha, and the lattice operators of
-:mod:`qfde.qfrac`: at s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j),
-and D(j) weighs f(s) in the RL derivative.  The solver, :func:`coefficients`
+and Gamma_q(1-alpha) = G(0) (1-q)^alpha.  :func:`weight_table` builds G,
+S and the gaps D of G for every distance at once from downward
+recurrences, so one table serves every node of every mesh with that q and
+alpha, its Gamma_q, and the lattice operators of :mod:`qfde.qfrac`: at
+s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j), and D(j) weighs f(s) in
+the RL derivative.  The solver, :func:`coefficients`, :func:`l1q_apply`
 and those operators read the tables of the TABLES_KEPT most recently used
 (q, alpha) from one store per process.  A table is never written after it
 is built, and a slice of a larger one equals a fresh build of the smaller
-one bit for bit, so what a call reads does not depend on the calls before
-it.  :class:`L1qCoefficients` carries its q and alpha and targets node
-n = len(weights), all that :func:`l1q_apply` reads.
+one bit for bit, so no call's values depend on the calls before it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -76,17 +76,10 @@ class WeightTable:
         for a in (self.G, self.D, self.S):
             a.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class L1qCoefficients:
-    """Difference weights b_1 .. b_n of order alpha targeting node n = len(weights)."""
-
-    q: float
-    alpha: float
-    weights: np.ndarray  # weights[k-1] = b_k
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
+    @property
+    def gamma(self) -> float:
+        """Gamma_q(1-alpha) = G(0) (1-q)^alpha."""
+        return float(self.G[0]) * (1.0 - self.q) ** self.alpha
 
 
 def build_mesh(scale: QScale, N: int) -> QMesh:
@@ -123,12 +116,12 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
         S(n)   = (1-q) G(n-1) + q S(n+1),
 
     carrying G - 1 and D in units of q^m and S - 1 in units of q^(n-1).
-    Each is then a sum of positive terms, free of cancellation, and of
-    order 1, so none underflows where q^m does.  The pass starts from the
-    leading terms of the tail sums, whose relative error is
-    O(q^M) <= 1e-14; each enters its weight scaled by q^m, so it stays
-    below an ulp of every entry, and a larger table holds the same entries
-    bit for bit (the tests check sizes on both sides of T).
+    Each is then a sum of positive terms, free of cancellation (expm1 forms
+    q^(-alpha) - 1 and 1 - q^(m-alpha)), and of order 1, so none underflows
+    where q^m does.  The pass starts from the leading terms of the tail
+    sums, whose relative error is O(q^M) <= 1e-14; each enters its weight
+    scaled by q^m, so it stays below an ulp of every entry, and a larger
+    table holds the same entries bit for bit (tested on both sides of T).
 
     The strict chain t_n^(-alpha) < b_1 < b_2 < ... < b_n is asserted on
     the scaled values as a corruption detector: S - 1 > 0 is the first
@@ -146,9 +139,9 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
     # are written into the three arrays returned, and scaled back in place.
     qm = np.arange(M + 1, dtype=float)
     den = qm - alpha
-    np.subtract(1.0, np.power(q, den, out=den), out=den)
+    np.negative(np.expm1(np.multiply(den, math.log(q), out=den), out=den), out=den)
     np.power(q, qm, out=qm)
-    c = q ** -alpha - 1.0
+    c = math.expm1(-alpha * math.log(q))    # q^-alpha - 1, not 0 for tiny alpha
     qq = q * q
     G = np.zeros(size)        # (G(m) - 1)/q^m
     D = np.zeros(size + 1)    # D(m)/q^m
@@ -207,8 +200,8 @@ def _table(q: float, alpha: float, size: int) -> WeightTable:
     return table
 
 
-def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
-    """Weights b_1 .. b_n for target node n.
+def coefficients(mesh: QMesh, n: int, alpha: float) -> np.ndarray:
+    """Weights b_1 .. b_n for target node n, as a read-only array.
 
     Read off the kept weight table of (q, alpha) and scaled by
     t_n^(-alpha); the table asserts the strict chain
@@ -217,24 +210,22 @@ def coefficients(mesh: QMesh, n: int, alpha: float) -> L1qCoefficients:
     if not 1 <= n <= mesh.N:
         raise ValueError(f"target index must satisfy 1 <= n <= {mesh.N}, got {n}")
     table = _table(mesh.scale.q, alpha, n)
-    scale = mesh.nodes[n] ** (-alpha)
-    weights = scale * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
-    return L1qCoefficients(q=mesh.scale.q, alpha=alpha, weights=weights)
+    weights = mesh.nodes[n] ** (-alpha) * np.concatenate(([table.S[n]], table.G[:n - 1][::-1]))
+    weights.setflags(write=False)
+    return weights
 
 
-def l1q_apply(samples: np.ndarray, coeffs: L1qCoefficients):
+def l1q_apply(samples: np.ndarray, mesh: QMesh, alpha: float):
     """Apply the difference formula to samples x^0 .. x^n (componentwise).
 
-    Returns (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}), with q,
-    alpha and n read off coeffs.
+    Returns (1/Gamma_q(1-alpha)) * sum_k b_k (x^k - x^{k-1}) at node
+    n = len(samples) - 1, with the weights and Gamma_q read off the kept
+    (q, alpha) table.
     """
     samples = np.asarray(samples, dtype=float)
-    n = len(coeffs.weights)
-    if samples.shape[0] != n + 1:
-        raise ValueError(f"need {n + 1} samples x^0..x^n, got {samples.shape[0]}")
-    diffs = np.diff(samples, axis=0)
-    out = (np.tensordot(coeffs.weights, diffs, axes=(0, 0))
-           / q_gamma(1.0 - coeffs.alpha, coeffs.q))
+    weights = coefficients(mesh, samples.shape[0] - 1, alpha)
+    out = (np.tensordot(weights, np.diff(samples, axis=0), axes=(0, 0))
+           / _table(mesh.scale.q, alpha, 1).gamma)
     return float(out) if np.ndim(out) == 0 else out
 
 

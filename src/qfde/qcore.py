@@ -1,10 +1,10 @@
 """q-calculus primitives on geometric time scales.
 
 Everything is parameterized by a scale index 0 < q < 1.  The module
-provides the q-bracket and q-factorial, the q-shifted factorial
-(t - s)^(a) (finite product for integer a >= 0, truncated infinite
-product ratio otherwise), the q-gamma and q-beta functions, Jackson's
-q-integral and the q-derivative with its iterated closed form.
+provides the q-bracket and q-factorial, the q-shifted factorial (t - s)^(a)
+(finite product for integer a >= 0, truncated infinite product ratio
+otherwise), q-gamma (read off a weight table of :mod:`qfde.l1q`), q-beta,
+Jackson's q-integral and the q-derivative with its iterated closed form.
 
 All values are plain doubles, and the operations are pure functions,
 safe for concurrent use; :func:`q_gamma` keeps its GAMMAS_KEPT most
@@ -84,9 +84,9 @@ def _check_q(q: float) -> None:
 
 
 def q_bracket(alpha: float, q: float) -> float:
-    """[alpha]_q = (1 - q^alpha)/(1 - q)."""
+    """[alpha]_q = (1 - q^alpha)/(1 - q), formed by expm1 to keep its digits near alpha = 0."""
     _check_q(q)
-    return (1.0 - q ** alpha) / (1.0 - q)
+    return math.expm1(alpha * math.log(q)) / (q - 1.0)
 
 
 def q_factorial(n: int, q: float) -> float:
@@ -117,14 +117,14 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
     """(t - s)^(alpha) for real alpha, 0 <= s <= t, t > 0.
 
     Nonnegative integer alpha routes to the exact finite product; other
-    orders (including the negative ones of q-gamma and q-beta)
-    use the truncated product
+    orders use the truncated product
 
         t^alpha * prod_{i>=0} (t - q^i s)/(t - q^(alpha+i) s),
 
-    stopped at the first factor within REL_TOL*(1-q) of 1.  Factors
-    approach 1 geometrically at rate q, so the dropped tail contributes a
-    relative error of order REL_TOL.
+    each denominator formed as (t - q^i s) - q^i s (q^alpha - 1), which
+    keeps its digits next to alpha = -1, and stopped at the first factor
+    within REL_TOL*(1-q) of 1.  Factors approach 1 geometrically at rate
+    q, so the dropped tail contributes a relative error of order REL_TOL.
     """
     _check_q(q)
     for name, value in (("t", t), ("s", s), ("alpha", alpha)):
@@ -139,21 +139,20 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
         return shifted_factorial_int(t, s, int(alpha), q)
     budget = _budget(q)
     band = REL_TOL * (1.0 - q)
-    prod = 1.0
-    qi = 1.0            # q^i
-    qai = q ** alpha    # q^(alpha+i)
+    shift = math.expm1(alpha * math.log(q))    # q^alpha - 1
+    prod, qi = 1.0, 1.0    # qi = q^i
     for _ in range(budget):
-        den = t - qai * s
+        num = t - qi * s
+        den = num - qi * s * shift    # t - q^(alpha+i) s
         if den == 0.0:
             raise SingularKernelError(
                 f"(t-s)^(alpha) product factor denominator vanished "
                 f"(t={t!r}, s={s!r}, alpha={alpha!r}, q={q!r})")
-        factor = (t - qi * s) / den
+        factor = num / den
         prod *= factor
         if -band < factor - 1.0 < band:
             return t ** alpha * prod
         qi *= q
-        qai *= q
     raise NonConvergenceError(
         f"shifted factorial product did not settle within {budget} factors "
         f"at q={q!r}")
@@ -161,19 +160,28 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
 
 @functools.lru_cache(maxsize=GAMMAS_KEPT)
 def q_gamma(alpha: float, q: float) -> float:
-    """q-gamma function, Gamma_q(alpha) = (1 - q)^(alpha-1) * (1 - q)^(1-alpha).
+    """q-gamma function Gamma_q(alpha) = (q;q)_inf (1-q)^(1-alpha) / (q^alpha;q)_inf.
 
-    The first factor is the q-shifted factorial (t - s)^(alpha-1) read with
-    t = 1, s = q, i.e. (q; q)_inf / (q^alpha; q)_inf; the second is an
-    ordinary power.  This reading makes Gamma_q(n+1) = [n]_q! hold exactly
-    for integer n (checked in tests).
+    [alpha-1]_q! at a positive integer alpha.  Elsewhere Gamma_q(r) of the
+    fractional part r = alpha - floor(alpha) is G(0) (1-q)^(1-r) of a fresh
+    size-1 weight table of order 1 - r (:mod:`qfde.l1q`), never a kept one,
+    and Gamma_q(x+1) = [x]_q Gamma_q(x) steps from r up or down to alpha.
     """
     _check_q(q)
     if not math.isfinite(alpha):
         raise ValueError(f"q-gamma needs a finite alpha, got alpha={alpha}")
-    if alpha == math.floor(alpha) and alpha <= 0.0:
-        raise PoleError(f"q-gamma has a pole at alpha={alpha}")
-    return shifted_factorial_real(1.0, q, alpha - 1.0, q) * (1.0 - q) ** (1.0 - alpha)
+    n = math.floor(alpha)
+    if alpha == n:
+        if n <= 0:
+            raise PoleError(f"q-gamma has a pole at alpha={alpha}")
+        return q_factorial(n - 1, q)
+    r = alpha - n
+    if not 0.0 < 1.0 - r < 1.0:
+        raise SingularKernelError(f"q-gamma at alpha={alpha!r} rounds onto its pole at 0")
+    from .l1q import weight_table   # l1q imports this module
+    gamma = weight_table(q, 1.0 - r, 1).gamma
+    gamma *= math.prod(q_bracket(alpha - i, q) for i in range(1, n + 1))
+    return gamma / math.prod(q_bracket(alpha + i, q) for i in range(-n))
 
 
 def _lattice(x: float, q: float):

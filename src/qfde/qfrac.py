@@ -3,15 +3,16 @@
 All three start at the lower limit 0, the only one the scheme uses (Annaby
 & Mansour, *q-Fractional Calculus and Equations*, LNM 2056).  Each is one
 sum over the Jackson lattice s_j = t q^j, calling f once per point, whose
-kernel (t - q s_j)^(-a) = t^(-a) G(j) and D(j) = G(j-1) - G(j) are read off
-the kept (q, a) weight table of :mod:`qfde.l1q`.  With Gamma = Gamma_q(1-alpha),
+kernel (t - q s_j)^(-a) = t^(-a) G(j), D(j) = G(j-1) - G(j) and
+Gamma_q(1-a) = G(0) (1-q)^a are read off the kept (q, a) table of
+:mod:`qfde.l1q`.  With beta = m + r (0 < r <= 1), Gamma = Gamma_q(1-alpha),
 
-    I^beta f(t)   = t^(beta-1) (1-q)/Gamma_q(beta) sum_j G(j) s_j f(s_j),
+    I^beta f(t)   = t^(beta-1) (1-q)/Gamma_q(beta) sum_j K(j) s_j f(s_j),
     cD^alpha f(t) = t^(-alpha)/Gamma sum_j G(j) (f(s_j) - f(s_(j+1))),
     D^alpha f(t)  = t^(-alpha)/Gamma (G(0) f(t) - sum_(j>=1) D(j) f(s_j)),
 
-on the (q, 1-beta) table for 0 < beta < 1 (the shifted factorial serves
-beta >= 1) and the (q, alpha) table a solve reads.  Regrouped by point,
+with K(j) = G(j) prod_(i<m) (1 - q^(j+r+i)) on the (q, 1-r) table (G = 1
+when r = 1), and the (q, alpha) table a solve reads.  Regrouped by point,
 D_q I^(1-alpha) f weighs f(s_j), j >= 1, by q^j (G(j) - q^(-alpha) G(j-1)),
 which the recurrence of G makes -D(j), so no two integrals are subtracted.
 Past the table G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
@@ -23,13 +24,7 @@ import math
 from itertools import chain, pairwise, repeat
 
 from .l1q import _table
-from .qcore import (QFunction, _check_q, _lattice, _lattice_sum, q_gamma,
-                    shifted_factorial_real, tail_terms)
-
-
-def _kernel(q: float, alpha: float):
-    """G(0), G(1), ... of the kept (q, alpha) table, then 1 (to REL_TOL) past it."""
-    return chain(_table(q, alpha, tail_terms(q)).G.tolist(), repeat(1.0))
+from .qcore import QFunction, _check_q, _lattice, _lattice_sum, q_gamma, tail_terms
 
 
 def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
@@ -45,12 +40,15 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
         raise ValueError(f"fractional integral needs a finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
-    scale, kernel = 1.0, (shifted_factorial_real(t, q * s, alpha - 1.0, q)
-                          for s in _lattice(t, q))
-    if 0.0 < 1.0 - alpha < 1.0:   # 1 - alpha is 1.0 for alpha below 1.1e-16
-        scale, kernel = t ** (alpha - 1.0), _kernel(q, 1.0 - alpha)
+    gamma = q_gamma(alpha, q)    # SingularKernelError once 1 - alpha rounds to 1
+    r = alpha - (m := math.ceil(alpha) - 1)    # alpha = m + r, 0 < r <= 1
+    G = _table(q, 1.0 - r, tail_terms(q)).G.tolist() if r < 1.0 else []
+    kernel = chain(G, repeat(1.0))    # G = 1 past the table, to REL_TOL
+    if m:
+        kernel = (g * math.prod(1.0 - q ** (j + r + i) for i in range(m))
+                  for j, g in enumerate(kernel))
     total = _lattice_sum((s * (k * f(s)) for k, s in zip(kernel, _lattice(t, q))), q)
-    return scale * ((1.0 - q) * total) / q_gamma(alpha, q)
+    return t ** (alpha - 1.0) * ((1.0 - q) * total) / gamma
 
 
 def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
@@ -71,9 +69,11 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return frac_q_integral(f, -alpha, t, q)
     if t == 0.0:
         return 0.0
+    table = _table(q, alpha, tail_terms(q))
+    kernel = chain(table.G.tolist(), repeat(1.0))
     steps = pairwise(map(f, _lattice(t, q)))    # (f(s_j), f(s_(j+1)))
-    total = _lattice_sum((g * (a - b) for g, (a, b) in zip(_kernel(q, alpha), steps)), q)
-    return t ** -alpha * total / q_gamma(1.0 - alpha, q)
+    total = _lattice_sum((g * (a - b) for g, (a, b) in zip(kernel, steps)), q)
+    return t ** -alpha * total / table.gamma
 
 
 def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
@@ -93,7 +93,7 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
     table = _table(q, alpha, tail_terms(q))
-    tail = -(q ** -alpha - 1.0) * q ** len(table.D)    # -D(j) = -c q^j
+    tail = -math.expm1(-alpha * math.log(q)) * q ** len(table.D)    # -D(j) = -c q^j
     weights = chain(table.G[:1].tolist(), (-table.D[1:]).tolist(), _lattice(tail, q))
     total = _lattice_sum((w * f(s) for w, s in zip(weights, _lattice(t, q))), q)
-    return t ** -alpha * total / q_gamma(1.0 - alpha, q)
+    return t ** -alpha * total / table.gamma

@@ -11,11 +11,11 @@ form
 for dx^n = x^n - x^{n-1}, with lead_1 = S(1) and lead_n = G(0) after.
 Everything that does not change from step to step is built once per
 solve: the gains Gamma_q(1-alpha) t_n^alpha / lead_n in one array
-operation (Gamma_q itself once per process), the nodes as Python floats
-(f receives t as a float), and one reversed buffer of the history
-weights G(m)/G(0).  Step n writes S(n)/G(0) into the slot just before
-its G part, so hist_n / lead_n is a single dot product over
-dx^1 .. dx^{n-1}, and puts the slot back after.
+operation (Gamma_q = G(0) (1-q)^alpha), the nodes as Python floats (f
+receives t as a float), and one reversed buffer of the history weights
+G(m)/G(0).  Step n writes S(n)/G(0) into the slot just before its G
+part, so hist_n / lead_n is a single dot product over dx^1 .. dx^{n-1},
+and puts the slot back after.
 A step then costs that dot product, the start, and per update one call
 of f and a few operations on the state.
 
@@ -194,7 +194,7 @@ def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> Non
     G, S = table.G[:N], table.S[:N + 1]
     lead = np.full(N + 1, G[0])
     lead[1] = S[1]
-    gains = (q_gamma(1.0 - alpha, mesh.scale.q) * mesh.nodes ** alpha / lead).tolist()
+    gains = (table.gamma * mesh.nodes ** alpha / lead).tolist()
     nodes = mesh.nodes.tolist()
     # weights[N-1-m] = G(m)/G(0), so hist_n / lead_n = weights[N-n:N-1] @ dx[1:n]
     # once slot N-n, which holds G(n-1)/G(0), holds S(n)/G(0) instead.

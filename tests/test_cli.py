@@ -303,6 +303,22 @@ def test_run_bounds_affine_exact():
     assert np.all(report["bound"] <= 1e-6)
 
 
+def test_bounds_ratio_of_a_zero_bound(capsys):
+    # m2 = 0 bounds no error: the ratio is inf where the error is not 0, and
+    # 0 where it is 0 too; it once printed err/1e-300 as a 290-digit number
+    assert main(["bounds", "--problem", "example1", "--q", "1/4", "--N", "10",
+                 "--m2", "0"]) == EXIT_BOUND
+    rows = capsys.readouterr().out.splitlines()[2:12]
+    assert all(row.split()[3] == "inf" and len(row) == 63 for row in rows)
+    report, ok = run_bounds(ProblemSpec(name="constant", q=0.25, N=10, alpha=0.5), m2=0.0)
+    assert ok and np.all(report["bound"] == 0.0) and np.all(report["abs_err"] == 0.0)
+    assert report["ratio"].tolist() == [0.0] * 10
+    # a positive bound keeps the plain quotient
+    report, _ = run_bounds(ProblemSpec(name="example1", q=0.25, N=10, alpha=0.5), m2=1.0)
+    assert np.all(report["bound"] > 0.0)
+    assert np.array_equal(report["ratio"], report["abs_err"] / report["bound"])
+
+
 def test_main_bounds_ok():
     assert main(["bounds", "--problem", "manufactured-quadratic", "--q", "1/2",
                  "--N", "6"]) == EXIT_OK
@@ -325,7 +341,7 @@ def test_missing_exact_solution_rejected(monkeypatch):
 
 
 def test_main_solve_near_q_one(tmp_path):
-    # T(0.999) = 32,221 factors per q-gamma product, over the 10,000 floor
+    # T(0.999) = 32,221 entries in each weight table, over the 10,000 floor
     # of the series budget
     out = tmp_path / "out.csv"
     assert main(["solve", "--problem", "manufactured-quadratic", "--q", "0.999",

@@ -78,9 +78,9 @@ def test_single_weight_identity():
         mesh = build_mesh(QScale(q, 1.0), 6)
         c = coefficients(mesh, 1, alpha)
         t1 = mesh.nodes[1]
-        assert c.weights.shape == (1,)
-        assert c.weights[0] > t1 ** (-alpha)
-        assert c.weights[0] == pytest.approx(
+        assert c.shape == (1,)
+        assert c[0] > t1 ** (-alpha)
+        assert c[0] == pytest.approx(
             t1 ** (-alpha) / q_bracket(1.0 - alpha, q), rel=1e-12)
 
 
@@ -88,8 +88,8 @@ def test_b3_closed_form_value():
     mesh = build_mesh(QScale(0.5, 1.0), 3)
     c = coefficients(mesh, 3, 0.5)
     # b_3 = (1 - 0.5)^(-0.5); frozen from the partial-product oracle
-    assert c.weights[2] == pytest.approx(2.223190001301364, rel=1e-12)
-    assert c.weights[2] == pytest.approx(
+    assert c[2] == pytest.approx(2.223190001301364, rel=1e-12)
+    assert c[2] == pytest.approx(
         shifted_factorial_real(1.0, 0.5, -0.5, 0.5), rel=1e-15)
 
 
@@ -99,7 +99,7 @@ def test_b2_closed_form_vs_quadrature():
     q, t = 0.5, mesh.nodes
     kern = lambda s: shifted_factorial_real(t[3], q * s, -0.5, q)
     quad = q_integral(kern, t[1], t[2], q) / mesh.steps[1]
-    assert c.weights[1] == pytest.approx(quad, rel=1e-10)
+    assert c[1] == pytest.approx(quad, rel=1e-10)
 
 
 def test_b1_series_vs_quadrature_and_oracle():
@@ -108,8 +108,8 @@ def test_b1_series_vs_quadrature_and_oracle():
     c = coefficients(mesh, 4, alpha)
     kern = lambda s: shifted_factorial_real(t[4], q * s, -alpha, q)
     quad = q_integral(kern, 0.0, t[1], q) / mesh.steps[0]
-    assert c.weights[0] == pytest.approx(quad, rel=1e-10)
-    assert c.weights[0] == pytest.approx(
+    assert c[0] == pytest.approx(quad, rel=1e-10)
+    assert c[0] == pytest.approx(
         float(mp_b1(t[4], t[1], alpha, q)), rel=1e-12)
 
 
@@ -130,8 +130,8 @@ def test_monotone_chain():
             for n in range(1, 9):
                 c = coefficients(mesh, n, alpha)
                 floor = mesh.nodes[n] ** (-alpha)
-                assert floor < c.weights[0]
-                assert np.all(np.diff(c.weights) > 0.0)
+                assert floor < c[0]
+                assert np.all(np.diff(c) > 0.0)
 
 
 def test_coefficients_validation():
@@ -145,11 +145,12 @@ def test_coefficients_validation():
 
 
 def test_l1q_apply_constant_and_lengths():
+    # the target node is n = len(samples) - 1, which must be a node 1..N
     mesh = build_mesh(QScale(0.5, 1.0), 4)
-    c = coefficients(mesh, 4, 0.5)
-    assert l1q_apply(np.full(5, 3.7), c) == 0.0
-    with pytest.raises(ValueError):
-        l1q_apply(np.ones(4), c)
+    assert l1q_apply(np.full(5, 3.7), mesh, 0.5) == 0.0
+    for length in (1, 6):
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            l1q_apply(np.ones(length), mesh, 0.5)
 
 
 def test_l1q_apply_exact_on_affine():
@@ -158,8 +159,7 @@ def test_l1q_apply_exact_on_affine():
         mesh = build_mesh(QScale(q, 1.0), 8)
         x = 0.7 + 1.3 * mesh.nodes
         for n in (1, 4, 8):
-            c = coefficients(mesh, n, alpha)
-            got = l1q_apply(x[:n + 1], c)
+            got = l1q_apply(x[:n + 1], mesh, alpha)
             ref = caputo_q_derivative(lambda t: 0.7 + 1.3 * t, alpha,
                                       float(mesh.nodes[n]), q)
             assert got == pytest.approx(ref, rel=1e-10)
@@ -169,20 +169,18 @@ def test_l1q_apply_quadratic_within_bound():
     q = alpha = 2.0 / 3.0
     mesh = build_mesh(QScale(q, 1.0), 10)
     x = mesh.nodes ** 2 + 1.0
-    c = coefficients(mesh, 10, alpha)
-    got = l1q_apply(x, c)
+    got = l1q_apply(x, mesh, alpha)
     exact = (1.0 + q) / q_gamma(7.0 / 3.0, q)
     assert abs(got - exact) <= truncation_bound(mesh, 10, alpha, m2=1.0 + q)
 
 
 def test_l1q_apply_componentwise():
     mesh = build_mesh(QScale(0.5, 1.0), 3)
-    c = coefficients(mesh, 3, 0.5)
     xs = np.stack([mesh.nodes, mesh.nodes ** 2 + 1.0], axis=1)
-    out = l1q_apply(xs, c)
+    out = l1q_apply(xs, mesh, 0.5)
     assert out.shape == (2,)
-    assert out[0] == pytest.approx(l1q_apply(xs[:, 0], c), rel=1e-15)
-    assert out[1] == pytest.approx(l1q_apply(xs[:, 1], c), rel=1e-15)
+    assert out[0] == pytest.approx(l1q_apply(xs[:, 0], mesh, 0.5), rel=1e-15)
+    assert out[1] == pytest.approx(l1q_apply(xs[:, 1], mesh, 0.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("q, N", [(0.25, 20), (0.5, 20), (0.9, 60)])
@@ -199,7 +197,7 @@ def test_l1q_apply_is_the_caputo_derivative_of_the_path_linear_below_t1(q, N):
     samples = np.array([x(float(t)) for t in mesh.nodes])
     for alpha in (0.1, 0.5, 0.9):
         for n in range(1, N + 1):
-            got = l1q_apply(samples[:n + 1], coefficients(mesh, n, alpha))
+            got = l1q_apply(samples[:n + 1], mesh, alpha)
             ref = caputo_q_derivative(path, alpha, float(mesh.nodes[n]), q)
             assert got == pytest.approx(ref, rel=1e-12)
 
@@ -207,12 +205,12 @@ def test_l1q_apply_is_the_caputo_derivative_of_the_path_linear_below_t1(q, N):
 def test_coefficient_weights():
     mesh = build_mesh(QScale(0.5, 1.0), 6)
     c = coefficients(mesh, 1, 0.5)
-    assert c.weights.shape == (1,)
+    assert c.shape == (1,)
     c = coefficients(mesh, 2, 0.5)
-    assert c.weights[1] > c.weights[0]
+    assert c[1] > c[0]
     c = coefficients(mesh, 5, 0.5)
-    assert np.all(np.diff(c.weights) > 0.0)
-    assert c.weights[-1] > c.weights[0] > 0.0
+    assert np.all(np.diff(c) > 0.0)
+    assert c[-1] > c[0] > 0.0
 
 
 def test_truncation_bound_formula():
@@ -235,8 +233,7 @@ def test_truncation_dominance_spot():
         mesh = build_mesh(QScale(q, 1.0), N)
         x = mesh.nodes ** 2 + 1.0
         for n in range(1, N + 1):
-            c = coefficients(mesh, n, alpha)
-            got = l1q_apply(x[:n + 1], c)
+            got = l1q_apply(x[:n + 1], mesh, alpha)
             exact = caputo_q_derivative(lambda t: t * t + 1.0, alpha,
                                         float(mesh.nodes[n]), q)
             assert abs(got - exact) <= truncation_bound(mesh, n, alpha,
@@ -370,7 +367,7 @@ def test_coefficients_do_not_depend_on_the_kept_table(monkeypatch):
     assert len(l1q._tables[(0.9, 0.3)].G) == 700
     for n, c in alone.items():
         again = coefficients(mesh, n, 0.3)
-        assert np.array_equal(again.weights, c.weights)
+        assert np.array_equal(again, c)
 
 
 def test_kept_tables_under_concurrent_use(monkeypatch):
@@ -424,6 +421,6 @@ def test_coefficients_past_the_rounding_of_g():
     for q, N in [(0.25, 40), (2.0 / 3.0, 100), (0.9, 300)]:
         mesh = build_mesh(QScale(q, 1.0), N)
         c = coefficients(mesh, N, 2.0 / 3.0)
-        assert c.weights[0] >= mesh.nodes[N] ** (-2.0 / 3.0)
-        assert np.all(np.diff(c.weights) >= 0.0)
+        assert c[0] >= mesh.nodes[N] ** (-2.0 / 3.0)
+        assert np.all(np.diff(c) >= 0.0)
         assert np.all(weight_table(q, 2.0 / 3.0, N).D[1:] > 0.0)

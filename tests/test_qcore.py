@@ -26,7 +26,7 @@ from qfde import (
     shifted_factorial_int,
     shifted_factorial_real,
 )
-from qfde import qcore
+from qfde import l1q, qcore, weight_table
 from qfde.qcore import tail_terms
 
 from oracles import mp_qgamma, mp_shifted_real
@@ -36,6 +36,10 @@ def test_q_bracket_values():
     assert q_bracket(1, 0.5) == 1.0
     assert q_bracket(0, 0.7) == 0.0
     assert q_bracket(2, 0.5) == pytest.approx(1.5, rel=1e-15)
+    # formed by expm1, [alpha]_q keeps its digits next to alpha = 0, where
+    # 1 - q^alpha loses them (5.2e-3 relative here)
+    ref = float((1 - mp.mpf(0.99) ** mp.mpf(1e-12)) / (1 - mp.mpf(0.99)))
+    assert q_bracket(1e-12, 0.99) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
@@ -117,10 +121,23 @@ def test_shifted_factorial_real_matches_oracle_on_lattice(t, j, q, alpha):
     # the factor t - q^alpha s = t (1 - q^(1+alpha)) has its pole at
     # alpha = -1, with condition number about 1/((1+alpha) ln(1/q)); the
     # filter keeps 1 + alpha >= 1e-3, like the one on |alpha|, and the pole
-    # itself is pinned below.  Inside the filter the error still passes
-    # 1e-12 (up to 2.5e-12) at j = 1, 1 + alpha < 2.2e-3 and q > 0.93, a
-    # corner the draws rarely reach
+    # itself is pinned below.  Each denominator is formed as
+    # (t - q^i s) - q^i s (q^alpha - 1), so the rounding of q^alpha no longer
+    # reaches it: at j = 1, 1 + alpha < 5e-3 and q > 0.93, a corner the draws
+    # rarely reach, the worst of 300 draws went 3.2e-12 -> 2.1e-13 (pinned
+    # below as well)
     s = t * q ** j
+    with mp.workdps(40):
+        ref = float(mp_shifted_real(t, s, alpha, q))
+    assert abs(shifted_factorial_real(t, s, alpha, q) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("t, q, alpha", [(1.45, 0.945, -0.99886), (0.56, 0.948, -0.99886),
+                                         (1.21, 0.936, -0.99892)])
+def test_shifted_factorial_real_next_to_alpha_minus_one(t, q, alpha):
+    # s = t q puts the first denominator at t (1 - q^(1+alpha)); formed from
+    # a rounded q^alpha it lost its digits (2.6e-12, 2.6e-12 and 2.2e-12 here)
+    s = t * q
     with mp.workdps(40):
         ref = float(mp_shifted_real(t, s, alpha, q))
     assert abs(shifted_factorial_real(t, s, alpha, q) - ref) <= 1e-12 * abs(ref)
@@ -144,7 +161,7 @@ def test_q_gamma_values():
 
 
 def test_q_gamma_matches_q_factorial():
-    # acceptance gate for the (t=1, s=q) reading of the defining product
+    # at the integers q_gamma is q_factorial (checked bit for bit below)
     for q in (0.3, 0.5, 2.0 / 3.0):
         for n in range(1, 7):
             assert q_gamma(n + 1.0, q) == pytest.approx(
@@ -159,6 +176,63 @@ def test_q_gamma_recurrence_spot():
         lhs = q_gamma(alpha + 1.0, q)
         rhs = q_bracket(alpha, q) * q_gamma(alpha, q)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+GAMMA_GRID = [-3.7, -2.5, -1.3, -0.5, -0.05, 0.05, 0.3, 0.5, 2.0 / 3.0, 0.9, 0.95,
+              1.5, 7.0 / 3.0, 2.5, 3.0, 4.2, 7.5, 9.9, 10.0]
+
+
+@pytest.mark.parametrize("q, xs", [(0.25, GAMMA_GRID), (0.5, GAMMA_GRID),
+                                   (2.0 / 3.0, GAMMA_GRID), (0.9, GAMMA_GRID),
+                                   (0.99, [-3.7, 0.05, 9.9])],
+                         ids=["1/4", "1/2", "2/3", "0.9", "0.99"])
+def test_q_gamma_matches_oracle(q, xs):
+    # G(0) (1-q)^(1-r) of a fresh table, then the brackets [x]_q formed as
+    # expm1(x ln q)/(q - 1): worst 1.1e-15 over the grid at these q (the
+    # product it replaced reached 2.4e-15 at q = 1/4 and 2.1e-13 at 0.99).
+    # The 40-digit oracle needs about 10,000 factors at q = 0.99, so that
+    # row checks three points
+    for x in xs:
+        ref = mp_qgamma(x, q, terms=12_000)
+        assert abs(q_gamma(x, q) - ref) <= 2e-15 * abs(ref), x
+    for n in range(1, 11):
+        assert q_gamma(float(n), q) == q_factorial(n - 1, q)
+
+
+def test_q_gamma_keeps_the_tables_of_the_solves(monkeypatch):
+    # q_gamma builds its own size-1 table, so no call of it can evict a
+    # table that a solve or a lattice operator keeps
+    monkeypatch.setattr(l1q, "_tables", {})
+    for alpha in (0.3, 0.7, 0.5, 0.9):
+        l1q._table(0.9, alpha, 40)
+    keys = list(l1q._tables)
+    for x in (0.25, -1.6, 3.3, 0.7, 1.0 - 1e-13):
+        q_gamma.__wrapped__(x, 0.9)     # past the cache
+    assert list(l1q._tables) == keys
+
+
+def test_q_gamma_next_to_its_pole_at_zero():
+    # 1 - r rounds to 1 (or r to 1) within 5.6e-17 of 0, and the table of
+    # order 1 - r does not exist; a step down by [x]_q = 0 would divide by 0
+    for x in (1e-17, -1e-17):
+        with pytest.raises(SingularKernelError, match="pole at 0"):
+            q_gamma(x, 0.5)
+    # at -1e-16, Gamma_q(r) of r = 1 - 1e-16 is 1 to an ulp, and the step
+    # down divides by [x]_q = expm1(x ln q)/(q - 1), which keeps its digits
+    assert q_gamma(-1e-16, 0.5) == pytest.approx(float(mp_qgamma(-1e-16, 0.5)), rel=1e-15)
+
+
+def test_tiny_orders_have_a_weight_table():
+    # q^-alpha - 1 rounds to 0 once alpha ln(1/q) < 1.1e-16; formed as
+    # expm1(-alpha ln q) it keeps the gaps D positive
+    table = weight_table(0.999, 1e-13, 10)
+    assert np.all(table.D[1:] > 0.0) and np.all(table.S[1:] > 1.0)
+    # Gamma_q(1 - delta) = 1 - delta psi_q(1) + O(delta^2), with
+    # psi_q(1) = -ln(1-q) + ln q sum_k q^k/(1 - q^k) (-0.577 at q = 0.999)
+    q, delta = 0.999, 1e-13
+    psi = -math.log1p(-q) + math.log(q) * math.fsum(
+        q ** k / (1.0 - q ** k) for k in range(1, 45_000))
+    assert q_gamma(1.0 - delta, q) == pytest.approx(1.0 - delta * psi, rel=1e-15, abs=0.0)
 
 
 def test_q_gamma_poles():
@@ -393,8 +467,9 @@ def test_horizon_must_be_finite(b):
 
 @pytest.mark.parametrize("q", [0.999, 0.9999])
 def test_q_gamma_near_one(q):
-    # the product needs T(q) = 32,221 and 322,346 factors here, past the
-    # 10,000 floor of the budget; its rounding error grows like T(q) eps
+    # the table of the fractional part runs T(q) = 32,221 and 322,346
+    # entries here, past the 10,000 floor of the budget; the tolerance
+    # allows T(q) eps
     tol = tail_terms(q) * np.finfo(float).eps
     for n in (1, 2, 5):
         assert q_gamma(n + 1.0, q) == pytest.approx(q_factorial(n, q), rel=tol)

@@ -1,5 +1,7 @@
 """Unit tests for the fractional q-operators."""
 
+import time
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,16 +9,18 @@ import pytest
 from qfde import (
     NonConvergenceError,
     QScale,
+    SingularKernelError,
     caputo_q_derivative,
     frac_q_integral,
     l1q,
     make_problem,
+    q_beta,
     q_derivative,
     q_derivative_n,
     q_gamma,
     q_integral,
     q_integral_zero,
-    qfrac,
+    qcore,
     rl_q_derivative,
     solve_ivp,
 )
@@ -140,24 +144,79 @@ def test_frac_integral_against_live_oracle():
 
 
 def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
-    # for 0 < order < 1 the kernel at s = t q^j is t^(order-1) G(j) of the
-    # kept weight table; the truncated product is left to orders >= 1
+    # every order reads its kernel and Gamma_q off a weight table, and so
+    # does the solver: no truncated product runs on any of these paths
     calls = []
-    product = qfrac.shifted_factorial_real
+    product = qcore.shifted_factorial_real
 
     def counted(*args):
         calls.append(args)
         return product(*args)
 
-    monkeypatch.setattr(qfrac, "shifted_factorial_real", counted)
+    monkeypatch.setattr(qcore, "shifted_factorial_real", counted)
     f = lambda s: s * s + 1.0
-    frac_q_integral(f, 0.4, 0.9, 0.7)
-    caputo_q_derivative(f, 0.4, 0.9, 0.7)
+    for order in (0.4, 1.0, 1.5, 2.7):
+        frac_q_integral(f, order, 0.9, 0.7)
+        caputo_q_derivative(f, -order, 0.9, 0.7)
+        rl_q_derivative(f, -order, 0.9, 0.7)
+    for order in (0.4, 0.7):
+        caputo_q_derivative(f, order, 0.9, 0.7)
+        rl_q_derivative(f, order, 0.9, 0.7)
+    for x in (0.4, 1.0, 1.5, 2.7, -0.6):
+        q_gamma.__wrapped__(x, 0.7)     # past the cache
+    solve_ivp(make_problem("example2", 0.7), QScale(0.7, 1.0), 20)
     assert calls == []
     for x in (0.3, 1.0):
         assert frac_q_integral(f, 1.0, x, 0.5) == pytest.approx(
             q_integral_zero(f, x, 0.5), rel=1e-15)
+    q_beta(0.5, 0.5, 0.7)      # q_beta still reads the product: the patch is live
     assert calls
+
+
+@pytest.mark.parametrize("q, tol", [(0.25, 1.5e-15), (0.5, 4e-15), (2.0 / 3.0, 1e-14),
+                                    (0.9, 1e-13)], ids=["1/4", "1/2", "2/3", "0.9"])
+def test_frac_integral_power_rule(q, tol):
+    # I^beta s^p = Gamma_q(p+1)/Gamma_q(p+1+beta) t^(p+beta), the Gamma_q
+    # values at 40 digits.  Orders >= 1 multiply the kernel of the fractional
+    # part by prod_(i<m) (1 - q^(j+r+i)).  Worst measured 5.5e-16, 2.7e-15,
+    # 8.2e-15 and 7.3e-14 (of which 7.2e-14 is the stop rule's tail at
+    # q = 0.9); the product route reached 3.1e-15, 4.1e-15 and 1.0e-14
+    t = 0.8
+    for p in (0.0, 0.5, 2.0):
+        gamma = mp_qgamma(p + 1, q)
+        for beta in (0.3, 0.7, 1.0, 1.25, 1.5, 2.0, 2.7, 3.25):
+            ref = gamma / mp_qgamma(p + 1 + beta, q) * mp.mpf(t) ** (p + beta)
+            got = frac_q_integral(lambda s: s ** p, beta, t, q)
+            assert abs(got - ref) <= tol * abs(ref), (p, beta)
+
+
+def test_frac_integral_of_order_above_one_near_q_one():
+    # the kernel is a table read and one product of m factors per point, not
+    # a truncated product of T(q) factors (0.72 s a call at q = 0.99 before)
+    q = 0.99
+    start = time.perf_counter()
+    got = frac_q_integral(lambda s: s ** 0.5, 1.5, 1.0, q)
+    assert time.perf_counter() - start < 0.2
+    assert got == pytest.approx(q_gamma(1.5, q) / q_gamma(3.0, q), rel=1e-12)
+
+
+def test_orders_below_rounding_fail_by_name():
+    # below 1.1e-16, 1 - beta rounds to 1: the kernel (t - qs)^(beta-1)
+    # would be read off a table of order 1, which does not exist
+    for call in (lambda: frac_q_integral(lambda s: s, 1e-17, 1.0, 0.5),
+                 lambda: caputo_q_derivative(lambda s: s, -1e-17, 1.0, 0.5),
+                 lambda: rl_q_derivative(lambda s: s, -1e-17, 1.0, 0.5)):
+        with pytest.raises(SingularKernelError):
+            call()
+
+
+def test_caputo_of_a_tiny_order():
+    # alpha ln(1/q) = 1e-16: q^-alpha - 1 no longer rounds to 0 in the table.
+    # D^alpha s = t^(1-alpha)/Gamma_q(2-alpha); at q = 0.999 the stop rule
+    # leaves a tail of about REL_TOL q/(1-q) = 1e-11
+    q, alpha = 0.999, 1e-13
+    got = caputo_q_derivative(lambda s: s, alpha, 1.0, q)
+    assert got == pytest.approx(1.0 / q_gamma(2.0 - alpha, q), rel=2e-11)
 
 
 @pytest.mark.parametrize("op", [caputo_q_derivative, rl_q_derivative],

@@ -145,7 +145,7 @@ def test_solve_linear_history_matches_plain_increment_form(q, N):
     dx = [[0.0, 0.0]]
     states = [x0]
     for n in range(1, N + 1):
-        b = coefficients(mesh, n, alpha).weights.tolist()
+        b = coefficients(mesh, n, alpha).tolist()
         dx.append([(gamma * fs[n - 1, i] - sum(b[k - 1] * dx[k][i] for k in range(1, n)))
                    / b[n - 1] for i in range(2)])
         states.append([states[-1][i] + dx[n][i] for i in range(2)])
@@ -405,15 +405,26 @@ def test_manufactured_quadratic_large_N(q, N):
 
 @pytest.mark.parametrize("q", [0.99, 0.999])
 def test_manufactured_quadratic_near_q_one(q):
-    # N = 20000 puts t_1 at 1e-87 and 2e-9; at q = 0.999 the q-gamma
-    # products of the forcing and the scheme need T(q) = 32,221 factors,
-    # past the 10,000 floor of the series budget, and their rounding
-    # error grows like T(q) eps
+    # N = 20000 puts t_1 at 1e-87 and 2e-9; at q = 0.999 the weight tables
+    # behind the Gamma_q of the forcing and the scheme run T(q) = 32,221
+    # entries, past the 10,000 floor of the series budget; the tolerance
+    # allows T(q) eps
     problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
     trace = solve_ivp(problem, QScale(q, 1.0), 20000)
     exact = np.array([problem.exact(t)[0] for t in trace.mesh.nodes])
     tol = tail_terms(q) * np.finfo(float).eps
     assert np.max(np.abs(trace.states[:, 0] - exact)) <= tol
+
+
+@pytest.mark.parametrize("q, alpha", [(0.999, 1e-13), (0.5, 1e-17)])
+def test_tiny_orders_solve(q, alpha):
+    # alpha ln(1/q) below 1.1e-16 once rounded q^-alpha - 1 to 0 in the
+    # weight table, which then refused the chain b_1 < b_2 < ...; the
+    # scheme is exact on the affine solution 1 + 2t
+    problem = make_problem("manufactured-linear", q=q, alpha=alpha)
+    trace = solve_ivp(problem, QScale(q, 1.0), 20)
+    exact = 1.0 + 2.0 * trace.mesh.nodes
+    assert np.max(np.abs(trace.states[:, 0] - exact)) <= 1e-13
 
 
 @pytest.mark.parametrize("bad, d", [pytest.param(np.nan, 1, id="nan"),
