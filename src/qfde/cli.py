@@ -5,6 +5,10 @@ Subcommands
     qfde converge --problem NAME --q Q --N-list a,b,c --delta D [...]
     qfde bounds   --problem NAME --q Q --N N [...]
 
+Each compares component 0 of the solve with the problem's exact solution
+(every registry problem has one), node by node; ``solve`` writes the rows
+(t, x_num, x_exact, abs_err, fp_iters).
+
 Exit codes: 0 success, 1 numerical failure (solver non-convergence and
 every other :class:`~qfde.errors.QCalculusError`), 2 bound violation,
 3 invalid arguments.
@@ -18,7 +22,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +36,7 @@ from .qcore import QScale, q_derivative_n
 from .solver import (
     IVProblem,
     SolveTrace,
+    contraction_constant,
     error_report,
     rate_constants,
     solve_ivp,
@@ -69,30 +74,27 @@ class ProblemSpec:
 class RunRecord:
     """Table rows plus run metadata for one solve."""
 
-    rows: list = field(default_factory=list)   # (t, x_num, x_exact|None, abs_err|None, fp_iters)
+    rows: list = field(default_factory=list)   # (t, x_num, x_exact, abs_err, fp_iters)
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def has_exact(self) -> bool:
-        return bool(self.rows) and self.rows[0][2] is not None
+
+def _exact_and_error(trace: SolveTrace, problem: IVProblem):
+    """x(t_n) and |x(t_n) - x^n| of component 0 at the nodes solved (all, unless it failed).
+
+    One call of the exact solution on the node array: registry closures keep its shape.
+    """
+    solved = trace.states.shape[0] - 1
+    exact = np.asarray(problem.exact(trace.mesh.nodes[1:solved + 1]), dtype=float)
+    return exact, np.abs(exact - trace.states[1:, 0])
 
 
 def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
                        problem: IVProblem, wall: float) -> RunRecord:
-    """Rows of the solved nodes (all of a failed solve's truncated trace).
-
-    Reads component 0.  The exact solution is called once on the node
-    array: registry closures keep the shape of an array t.
-    """
-    solved = trace.states.shape[0] - 1
-    nodes = trace.mesh.nodes[1:solved + 1]
-    x_num = trace.states[1:, 0]
-    if problem.exact is None:
-        x_exact = abs_err = [None] * solved
-    else:
-        exact = np.asarray(problem.exact(nodes), dtype=float)
-        x_exact, abs_err = exact.tolist(), np.abs(exact - x_num).tolist()
-    rows = list(zip(nodes.tolist(), x_num.tolist(), x_exact, abs_err,
+    """Rows of the solved nodes, ordered by ascending t_n."""
+    exact, abs_err = _exact_and_error(trace, problem)
+    solved = exact.shape[0]
+    rows = list(zip(trace.mesh.nodes[1:solved + 1].tolist(),
+                    trace.states[1:, 0].tolist(), exact.tolist(), abs_err.tolist(),
                     trace.fp_iterations[:solved].tolist()))
     meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
             "N": spec.N, "b": spec.b, "wall_time_s": wall}
@@ -105,11 +107,7 @@ def run_solve(spec: ProblemSpec) -> RunRecord:
     On fixed-point failure the raised error carries a partial RunRecord
     in ``error.record``.
     """
-    return _solve(spec, spec.problem())
-
-
-def _solve(spec: ProblemSpec, problem: IVProblem) -> RunRecord:
-    """run_solve with the problem of spec already built."""
+    problem = spec.problem()
     start = time.perf_counter()
     try:
         trace = solve_ivp(problem, spec.scale(), spec.N)
@@ -123,38 +121,28 @@ def _solve(spec: ProblemSpec, problem: IVProblem) -> RunRecord:
 # ---------------------------------------------------------------------------
 # output formats
 
+CSV_HEADER = ("t", "x_num", "x_exact", "abs_err", "fp_iters")
+
+
 def _fmt_float(v: float) -> str:
     return f"{v:.16e}"
 
 
 def emit_csv(record: RunRecord, stream) -> None:
-    """CSV with header t,x_num[,x_exact,abs_err],fp_iters; 17 significant digits."""
+    """CSV with header t,x_num,x_exact,abs_err,fp_iters; 17 significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
-    if record.has_exact:
-        writer.writerow(["t", "x_num", "x_exact", "abs_err", "fp_iters"])
-        for t, x, xe, err, fp in record.rows:
-            writer.writerow([_fmt_float(t), _fmt_float(x), _fmt_float(xe),
-                             _fmt_float(err), fp])
-    else:
-        writer.writerow(["t", "x_num", "fp_iters"])
-        for t, x, _, _, fp in record.rows:
-            writer.writerow([_fmt_float(t), _fmt_float(x), fp])
+    writer.writerow(CSV_HEADER)
+    for *values, fp in record.rows:
+        writer.writerow([*map(_fmt_float, values), fp])
 
 
 def parse_csv(stream) -> RunRecord:
     """Read back an emitted CSV into a RunRecord (exact float round trip)."""
     reader = csv.reader(stream)
     header = next(reader)
-    rows = []
-    for line in reader:
-        if header == ["t", "x_num", "x_exact", "abs_err", "fp_iters"]:
-            rows.append((float(line[0]), float(line[1]), float(line[2]),
-                         float(line[3]), int(line[4])))
-        elif header == ["t", "x_num", "fp_iters"]:
-            rows.append((float(line[0]), float(line[1]), None, None, int(line[2])))
-        else:
-            raise ValueError(f"unrecognized CSV header: {header}")
-    return RunRecord(rows=rows)
+    if tuple(header) != CSV_HEADER:
+        raise ValueError(f"unrecognized CSV header: {header}")
+    return RunRecord(rows=[(*map(float, line[:4]), int(line[4])) for line in reader])
 
 
 def emit_table(record: RunRecord, stream) -> None:
@@ -166,14 +154,9 @@ def emit_table(record: RunRecord, stream) -> None:
             f"fp_tol={solver.FP_TOL:g} max_iters={solver.MAX_FP_ITERS} "
             f"perturb={solver.START_PERTURBATION:g} "
             f"wall={meta['wall_time_s']:.3g}s\n")
-    if record.has_exact:
-        stream.write(f"{'t_n':>24} {'x_num':>24} {'x_exact':>24} {'abs_err':>13} {'fp':>4}\n")
-        for t, x, xe, err, fp in record.rows:
-            stream.write(f"{t:>24.16e} {x:>24.16e} {xe:>24.16e} {err:>13.5e} {fp:>4d}\n")
-    else:
-        stream.write(f"{'t_n':>24} {'x_num':>24} {'fp':>4}\n")
-        for t, x, _, _, fp in record.rows:
-            stream.write(f"{t:>24.16e} {x:>24.16e} {fp:>4d}\n")
+    stream.write(f"{'t_n':>24} {'x_num':>24} {'x_exact':>24} {'abs_err':>13} {'fp':>4}\n")
+    for t, x, xe, err, fp in record.rows:
+        stream.write(f"{t:>24.16e} {x:>24.16e} {xe:>24.16e} {err:>13.5e} {fp:>4d}\n")
 
 
 def _write_output(out: Optional[str], emit) -> None:
@@ -190,8 +173,8 @@ def _write_output(out: Optional[str], emit) -> None:
 def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
     """Solve at each N; summarize the error decay over nodes n <= (1-delta)N.
 
-    Returns (records, summary).  The summary carries the fitted log-error
-    slope per unit N and the reference value 2*delta*ln(1/q).  That value
+    Returns the summary, which carries the fitted log-error slope per
+    unit N and the reference value 2*delta*ln(1/q).  That value
     is the decay rate of the a-priori bound |e_n| <= C q^(2(N-n)) over
     the nodes n <= (1-delta)N, so it is a lower bound on the observed
     decay, not a prediction of it.
@@ -201,16 +184,9 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
     if not N_list or any(N < 2 for N in N_list):
         raise ValueError("convergence study needs a nonempty N list, every N >= 2")
     problem = spec.problem()
-    if problem.exact is None:
-        raise ValueError(f"problem {spec.name!r} has no exact solution")
-
-    records = []
-    max_errs = []
-    rate_consts = []
+    max_errs, rate_consts = [], []
     for N in N_list:
-        record = _solve(replace(spec, N=N), problem)
-        records.append(record)
-        errs = np.array([row[3] for row in record.rows])
+        _, errs = _exact_and_error(solve_ivp(problem, spec.scale(), N), problem)
         n_cut = int((1.0 - delta) * N)
         max_errs.append(float(np.max(errs[:n_cut])) if n_cut >= 1 else float("nan"))
         rate_consts.append(float(np.max(rate_constants(errs, spec.q))))
@@ -227,7 +203,7 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
     else:
         slope = np.polyfit(np.asarray(N_list, float), np.log(max_errs), 1)[0]
         summary["fitted_decay"] = -float(slope)
-    return records, summary
+    return summary
 
 
 def emit_convergence(summary, stream) -> None:
@@ -265,14 +241,13 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     solutions do not trip on a zero bound.
     """
     problem = spec.problem()
-    if problem.exact is None:
-        raise ValueError(f"problem {spec.name!r} has no exact solution")
     if m2 is not None:
         _check_m2(m2)   # before the solve, which a bad m2 would waste
     trace = solve_ivp(problem, spec.scale(), spec.N)
     if m2 is None:
         m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)
-    L1 = trace.contraction_L1 if trace.contraction_L1 is not None else 0.0
+    L1 = (0.0 if problem.lipschitz_L is None
+          else contraction_constant(problem.lipschitz_L, problem.alpha, spec.scale()))
 
     report_data = error_report(trace, problem, m2=m2, L1=L1)
     ratios = np.array([e / b if b else (math.inf if e else 0.0) for e, b in
@@ -383,7 +358,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValueError(f"bad --N-list {args.N_list!r}") from None
             spec = _spec_from_args(args, max(N_list, default=2))
-            _, summary = run_convergence(spec, N_list, args.delta)
+            summary = run_convergence(spec, N_list, args.delta)
             _write_output(args.out, lambda fh: emit_convergence(summary, fh))
             return EXIT_OK
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonotonicityError
-from .qcore import QScale, _check_q, q_gamma, tail_terms
+from .qcore import QScale, _check_q, tail_terms
 
 
 @dataclass(frozen=True)
@@ -248,4 +248,4 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
     t_n = mesh.nodes[n]
     dt_n = mesh.steps[n - 1]
     return (m2 * t_n ** (-alpha) * dt_n ** 2
-            / (4.0 * q_gamma(1.0 - alpha, q) * (1.0 - q * q) * (q ** alpha - q)))
+            / (4.0 * _table(q, alpha, 1).gamma * (1.0 - q * q) * (q ** alpha - q)))

@@ -317,11 +317,12 @@ def q_beta(alpha: float, beta: float, q: float) -> float:
     """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t.
 
     The Jackson sum (1-q) sum_n q^(n alpha) (1 - q^(n+1))^(beta-1): its
-    first term is a shifted factorial, and term n+1 is term n times
-    q^alpha (1 - q^(n+beta))/(1 - q^(n+1)).  The terms decay like
-    q^(n c), c = min(alpha, 1), so the sum stops at the first term within
-    REL_TOL (1 - q^c) of the total, on the budget of the scale q^c.  It
-    agrees with Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
+    first term, (q;q)_inf/(q^beta;q)_inf, is Gamma_q(beta) (1-q)^(beta-1),
+    and term n+1 is term n times q^alpha (1 - q^(n+beta))/(1 - q^(n+1)).
+    The terms decay like q^(n c), c = min(alpha, 1), so the sum stops at
+    the first term within REL_TOL (1 - q^c) of the total, on the budget
+    of the scale q^c.  It agrees with
+    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
     """
     _check_q(q)
     for name, value in (("alpha", alpha), ("beta", beta)):
@@ -333,7 +334,7 @@ def q_beta(alpha: float, beta: float, q: float) -> float:
     budget = _budget(decay)
     band = REL_TOL * (1.0 - decay)
     qa, qb = q ** alpha, q ** beta
-    term = shifted_factorial_real(1.0, q, beta - 1.0, q)    # n = 0
+    term = q_gamma(beta, q) * (1.0 - q) ** (beta - 1.0)    # n = 0
     q_n = 1.0       # q^n
     total = 0.0
     for _ in range(budget):

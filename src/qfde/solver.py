@@ -69,8 +69,8 @@ build_mesh (N = len(fsamples) for :func:`solve_linear_history`), alpha
 and x0 by :class:`IVProblem`.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
-distinct solves share only read-only weight tables and cached values of
-Gamma_q, and may run concurrently.
+distinct solves share only read-only weight tables, and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import FixedPointError
 from .l1q import QMesh, _check_m2, _table, build_mesh
-from .qcore import QFunction, QScale, q_gamma
+from .qcore import QFunction, QScale
 
 # The fixed-point iteration of each step; solve_ivp reads these at each
 # call.  An update is accepted once |g(x) - x| <= FP_TOL (1 + |g(x)|).
@@ -138,7 +138,6 @@ class SolveTrace:
     fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded;
                                   # both attempts when the step falls back to the nudged start)
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
-    contraction_L1: Optional[float] = None
     fp_increment_history: list = field(default_factory=list)
 
 
@@ -155,7 +154,7 @@ def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
     """L_1 = L * Gamma_q(1-alpha) * b^alpha; the step map contracts iff < 1."""
     if L < 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
-    return L * q_gamma(1.0 - alpha, scale.q) * scale.b ** alpha
+    return L * _table(scale.q, alpha, 1).gamma * scale.b ** alpha
 
 
 def _norm(v: np.ndarray) -> float:
@@ -235,13 +234,8 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     iters = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
     history: list = []
-    L1 = None
-    if problem.lipschitz_L is not None:
-        L1 = contraction_constant(problem.lipschitz_L, alpha, scale)
-
     trace = SolveTrace(mesh=mesh, states=states, fp_iterations=iters,
-                       residuals=residuals, contraction_L1=L1,
-                       fp_increment_history=history)
+                       residuals=residuals, fp_increment_history=history)
 
     f, fp_tol, max_iters, pert = problem.f, FP_TOL, MAX_FP_ITERS, START_PERTURBATION
     q = scale.q
@@ -374,7 +368,7 @@ def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
     if fmax < 0.0:
         raise ValueError(f"fmax must be >= 0, got {fmax}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return (_norm(x0) + q_gamma(1.0 - alpha, q) * t_n ** alpha * fmax) / (1.0 - L1)
+    return (_norm(x0) + _table(q, alpha, 1).gamma * t_n ** alpha * fmax) / (1.0 - L1)
 
 
 def error_report(trace: SolveTrace, problem: IVProblem, m2: float,

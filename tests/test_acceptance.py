@@ -335,7 +335,7 @@ def test_criterion_7_convergence_scaling():
     constant equals ((1+q)/[4/3]_q)^3 - 1 = 1.3543, so their spread is 1."""
     start = time.perf_counter()
     spec = ProblemSpec(name="example2", q=2.0 / 3.0, N=12, alpha=2.0 / 3.0)
-    _, summary = run_convergence(spec, [6, 8, 10, 12], delta=0.5)
+    summary = run_convergence(spec, [6, 8, 10, 12], delta=0.5)
     wall = time.perf_counter() - start
     fit, target = summary["fitted_decay"], summary["target_decay"]
     spread = max(summary["rate_constants"]) / min(summary["rate_constants"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfde import caputo_q_derivative, make_problem, problem_names, q_gamma
+from qfde import QScale, build_mesh, caputo_q_derivative, make_problem, problem_names, q_gamma
 
 
 def test_registry_names():
@@ -11,6 +11,17 @@ def test_registry_names():
                                "manufactured-linear", "manufactured-quadratic"]
     with pytest.raises(KeyError):
         make_problem("nope", q=0.5)
+
+
+@pytest.mark.parametrize("name", problem_names())
+@pytest.mark.parametrize("q", [0.25, 2.0 / 3.0, 0.9])
+def test_every_registry_problem_has_an_exact_solution(name, q):
+    # qfde solve, converge and bounds compare with it without checking for
+    # it, calling it once on the node array, whose shape it keeps
+    problem = make_problem(name, q)
+    nodes = build_mesh(QScale(q), 40).nodes
+    exact = np.asarray(problem.exact(nodes), dtype=float)
+    assert exact.shape == nodes.shape and np.all(np.isfinite(exact))
 
 
 def test_example1_forcing_is_the_derivative_of_the_exact_solution():

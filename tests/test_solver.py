@@ -42,6 +42,21 @@ def test_contraction_constant():
         contraction_constant(-1.0, 0.5, scale)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+def test_bounds_read_gamma_off_the_solve_table(alpha):
+    # Gamma_q(1-alpha) of the bounds is that of the solver's gains, bit for
+    # bit; q_gamma(1 - alpha) keys a table on 1 - (1 - alpha), which at
+    # these orders differs from alpha (0.1 -> 0.09999999999999998) and
+    # moved the last bit
+    q = 0.9
+    gamma = l1q._table(q, alpha, 1).gamma
+    assert contraction_constant(1.0, alpha, QScale(q, 1.0)) == gamma
+    assert stability_bound(np.zeros(1), 1.0, 1.0, alpha, q, 0.0) == gamma
+    mesh = build_mesh(QScale(q, 1.0), 1)   # t_1 = dt_1 = 1
+    assert truncation_bound(mesh, 1, alpha, m2=1.0) == (
+        1.0 / (4.0 * gamma * (1.0 - q * q) * (q ** alpha - q)))
+
+
 def test_constant_problem_one_iteration_per_step():
     problem = make_problem("constant", q=0.5, alpha=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 6)
@@ -82,7 +97,7 @@ def test_fixed_point_increments_contract():
                         x0=np.array([1.0]), lipschitz_L=L)
     scale = QScale(0.5, 1.0)
     trace = solve_ivp(problem, scale, 8)
-    L1 = trace.contraction_L1
+    L1 = contraction_constant(L, 0.5, scale)
     assert L1 == pytest.approx(L * q_gamma(0.5, 0.5), rel=1e-12)
     assert 0.0 < L1 < 1.0
     for incs in trace.fp_increment_history:
@@ -511,7 +526,7 @@ def test_fallback_start_solves_where_the_prediction_fails():
     problem = IVProblem(f=lambda t, x: L * np.sin(x) + t, alpha=alpha,
                         x0=np.array([1.0]), lipschitz_L=L)
     trace = solve_ivp(problem, QScale(q, 1.0), N)
-    assert trace.contraction_L1 == pytest.approx(1.96, abs=5e-3)
+    assert contraction_constant(L, alpha, QScale(q, 1.0)) == pytest.approx(1.96, abs=5e-3)
     increments = trace.fp_increment_history[-1]
     least = np.minimum.accumulate(increments)
     stop = next(k for k in range(STALL_UPDATES, len(increments))
