@@ -79,10 +79,7 @@ class RunRecord:
 
 
 def _exact_and_error(trace: SolveTrace, problem: IVProblem):
-    """x(t_n) and |x(t_n) - x^n| of component 0 at the nodes solved (all, unless it failed).
-
-    One call of the exact solution on the node array: registry closures keep its shape.
-    """
+    """x(t_n) and |x(t_n) - x^n| of component 0 at the solved nodes, by one exact call."""
     solved = trace.states.shape[0] - 1
     exact = np.asarray(problem.exact(trace.mesh.nodes[1:solved + 1]), dtype=float)
     return exact, np.abs(exact - trace.states[1:, 0])
@@ -197,8 +194,7 @@ def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
                "all_exact": all(e == 0.0 for e in max_errs)}
     if len(N_list) < 2 or summary["all_exact"]:
         summary["fitted_decay"] = None
-        summary["warning"] = ("errors are exactly zero; no fit"
-                              if summary["all_exact"]
+        summary["warning"] = ("errors are exactly zero; no fit" if summary["all_exact"]
                               else "single N gives no decay fit")
     else:
         slope = np.polyfit(np.asarray(N_list, float), np.log(max_errs), 1)[0]
@@ -284,9 +280,7 @@ def emit_bounds(report, stream) -> None:
 
 def parse_rational(text: str) -> float:
     """Parse '2/3' exactly as a fraction before conversion to double."""
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,8 +328,7 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args, N: int) -> ProblemSpec:
-    return ProblemSpec(name=args.problem, q=args.q, b=args.b, N=N,
-                       alpha=args.alpha)
+    return ProblemSpec(name=args.problem, q=args.q, b=args.b, N=N, alpha=args.alpha)
 
 
 def main(argv=None) -> int:

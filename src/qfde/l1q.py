@@ -172,8 +172,10 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
 # Weight tables kept per process, keyed on (q, alpha), least recently used
 # first.  The solver workloads of the benchmark use four keys; lattice-ops
 # keeps two per q live (the Caputo derivative's alpha and the integral's
-# 1 - alpha), six per round.  A table takes 24 bytes per entry (about
-# 7 KB at N = 300, 0.77 MB at T(0.999) = 32,221, 4.8 MB at N = 200,000).
+# 1 - alpha), six per round.  The three bounds read Gamma_q off the kept
+# table too, so one at a new (q, alpha) keeps a size-1 table that may evict
+# another; qcore's Gamma_q and q-beta never touch the store.  A table takes
+# 24 bytes per entry (7 KB at N = 300, 0.77 MB at T(0.999) = 32,221).
 TABLES_KEPT = 4
 _tables: dict = {}
 _tables_lock = threading.Lock()
@@ -239,7 +241,7 @@ def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:
 
     |R^n| <= m2 * t_n^(-alpha) * dt_n^2 /
              (4 Gamma_q(1-alpha) (1 - q^2) (q^alpha - q)),
-    where m2 bounds |D_q^2 x| on [0, t_n].
+    where m2 bounds |D_q^2 x| on [0, t_n]; Gamma_q is the kept table's.
     """
     _check_m2(m2)
     if not 1 <= n <= mesh.N:

@@ -317,8 +317,10 @@ def q_beta(alpha: float, beta: float, q: float) -> float:
     """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t.
 
     The Jackson sum (1-q) sum_n q^(n alpha) (1 - q^(n+1))^(beta-1): its
-    first term, (q;q)_inf/(q^beta;q)_inf, is Gamma_q(beta) (1-q)^(beta-1),
-    and term n+1 is term n times q^alpha (1 - q^(n+beta))/(1 - q^(n+1)).
+    first term, (q;q)_inf/(q^beta;q)_inf, is Gamma_q(r) (1-q)^(r-1)
+    prod_(i<m) (1 - q^(r+i)) at beta = m + r, 0 < r <= 1, finite where
+    Gamma_q(beta) overflows, and term n+1 is term n times
+    q^alpha (1 - q^(n+beta))/(1 - q^(n+1)), each 1 - q^x formed by expm1.
     The terms decay like q^(n c), c = min(alpha, 1), so the sum stops at
     the first term within REL_TOL (1 - q^c) of the total, on the budget
     of the scale q^c.  It agrees with
@@ -333,15 +335,15 @@ def q_beta(alpha: float, beta: float, q: float) -> float:
     decay = q ** min(alpha, 1.0)
     budget = _budget(decay)
     band = REL_TOL * (1.0 - decay)
-    qa, qb = q ** alpha, q ** beta
-    term = q_gamma(beta, q) * (1.0 - q) ** (beta - 1.0)    # n = 0
-    q_n = 1.0       # q^n
+    qa, ln_q = q ** alpha, math.log(q)
+    r = beta - (m := math.ceil(beta) - 1)
+    term = q_gamma(r, q) * (1.0 - q) ** (r - 1.0)    # n = 0
+    term *= math.prod(-math.expm1((r + i) * ln_q) for i in range(m))
     total = 0.0
-    for _ in range(budget):
+    for n in range(budget):
         total += term
         if term <= band * total:
             return (1.0 - q) * total
-        term *= qa * (1.0 - q_n * qb) / (1.0 - q_n * q)
-        q_n *= q
+        term *= qa * math.expm1((n + beta) * ln_q) / math.expm1((n + 1) * ln_q)
     raise NonConvergenceError(
         f"q-beta sum did not settle within {budget} terms at q={q!r}")

@@ -115,6 +115,8 @@ class IVProblem:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must be in (0, 1), got {self.alpha}")
+        if self.lipschitz_L is not None and not self.lipschitz_L >= 0.0:
+            raise ValueError(f"Lipschitz constant must be >= 0, got {self.lipschitz_L}")
         self.x0 = _initial_value(self.x0)
         self.d = self.x0.shape[0]
 
@@ -151,7 +153,7 @@ class ErrorReport:
 
 
 def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
-    """L_1 = L * Gamma_q(1-alpha) * b^alpha; the step map contracts iff < 1."""
+    """L_1 = L Gamma_q(1-alpha) b^alpha, Gamma_q the kept table's; contracts iff < 1."""
     if L < 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
     return L * _table(scale.q, alpha, 1).gamma * scale.b ** alpha
@@ -362,7 +364,7 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
 
 def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
                     q: float, L1: float) -> float:
-    """A-priori solution bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) t_n^alpha fmax]."""
+    """A-priori bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) t_n^alpha fmax], kept Gamma_q."""
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
     if fmax < 0.0:

@@ -364,6 +364,21 @@ def test_q_beta_gamma_identity():
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
+@pytest.mark.parametrize("q, beta", [(0.999, 103.5), (0.999, 110.0), (0.99, 170.0),
+                                     (0.5, 1100.0)])
+def test_q_beta_at_large_beta(q, beta):
+    # B_q(1, beta) = 1/[beta]_q.  A first term formed as
+    # Gamma_q(beta) (1-q)^(beta-1) lost digits to a subnormal factor at
+    # (0.999, 103.5), read 0.0 at (0.999, 110) and (0.99, 170), and
+    # overflowed at (0.5, 1100); worst measured now 7e-14
+    assert q_beta(1.0, beta, q) == pytest.approx(1.0 / q_bracket(beta, q), rel=2e-13)
+
+
+def test_q_beta_refuses_beta_rounding_onto_the_pole():
+    with pytest.raises(SingularKernelError, match="pole"):
+        q_beta(1.0, 1e-17, 0.5)
+
+
 def test_q_beta_rejects_non_finite_orders():
     # inf used to return 1.1116 and nan to run 10,000 terms into
     # NonConvergenceError

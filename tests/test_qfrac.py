@@ -172,7 +172,7 @@ def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
         assert frac_q_integral(f, 1.0, x, 0.5) == pytest.approx(
             q_integral_zero(f, x, 0.5), rel=1e-15)
     # the patch is live: a call written in qcore reaches the counter
-    eval("shifted_factorial_real(1.0, 0.7, 0.5, 0.7)", vars(qcore))
+    qcore.shifted_factorial_real(1.0, 0.7, 0.5, 0.7)
     assert len(calls) == 1
 
 

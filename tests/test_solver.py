@@ -394,6 +394,9 @@ def test_ivproblem_validation():
         IVProblem(f=lambda t, x: x, alpha=1.2, x0=np.array([1.0]))
     with pytest.raises(ValueError, match="1-D"):
         IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones((2, 2)))
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="Lipschitz constant must be >= 0"):
+            IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(1), lipschitz_L=bad)
     # d is worked out from x0, never passed
     assert IVProblem(f=lambda t, x: x, alpha=0.5, x0=np.ones(3)).d == 3
     with pytest.raises(TypeError):
