@@ -35,11 +35,10 @@ from .qcore import (
 )
 from .qfrac import caputo_q_derivative, frac_q_integral, rl_q_derivative
 from .solver import (
-    ErrorReport,
     IVProblem,
     SolveTrace,
     contraction_constant,
-    error_report,
+    error_bound,
     solve_ivp,
     solve_linear_history,
     stability_bound,
@@ -51,7 +50,7 @@ __all__ = [
     "FixedPointError", "MonotonicityError", "NonConvergenceError", "PoleError",
     "QCalculusError", "SingularKernelError",
     "QScale", "QMesh", "WeightTable",
-    "IVProblem", "SolveTrace", "ErrorReport",
+    "IVProblem", "SolveTrace",
     "q_bracket", "q_factorial", "shifted_factorial_int", "shifted_factorial_real",
     "q_gamma", "q_beta", "q_integral", "q_integral_zero", "q_derivative",
     "q_derivative_n",
@@ -59,7 +58,7 @@ __all__ = [
     "build_mesh", "coefficients", "l1q_apply", "truncation_bound",
     "weight_table",
     "solve_ivp", "solve_linear_history", "contraction_constant",
-    "stability_bound", "error_report",
+    "stability_bound", "error_bound",
     "make_problem", "problem_names",
     "__version__",
 ]

@@ -30,14 +30,14 @@ import numpy as np
 
 from . import solver
 from .errors import FixedPointError, QCalculusError
-from .l1q import _check_m2
+from .l1q import build_mesh
 from .problems import default_alpha, make_problem, problem_names
 from .qcore import QScale, q_derivative_n
 from .solver import (
     IVProblem,
     SolveTrace,
     contraction_constant,
-    error_report,
+    error_bound,
     rate_constants,
     solve_ivp,
     stability_bound,
@@ -234,31 +234,34 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     Returns (report dict, ok flag); ok is False when any ratio exceeds 1
     or the stability bound is violated.  Errors at float-noise level
     (1e-12 absolute) pass regardless of the bound, so exactly-reproduced
-    solutions do not trip on a zero bound.
+    solutions do not trip on a zero bound.  A problem without a Lipschitz
+    constant, a bad m2 or an L1 >= 1 raises ValueError before the solve.
     """
     problem = spec.problem()
-    if m2 is not None:
-        _check_m2(m2)   # before the solve, which a bad m2 would waste
-    trace = solve_ivp(problem, spec.scale(), spec.N)
+    if problem.lipschitz_L is None:
+        raise ValueError(f"problem {spec.name!r} has no Lipschitz constant; "
+                         "the bounds need one")
+    scale = spec.scale()
+    mesh = build_mesh(scale, spec.N)
     if m2 is None:
-        m2 = estimate_m2(problem, trace.mesh.nodes, spec.q)
-    L1 = (0.0 if problem.lipschitz_L is None
-          else contraction_constant(problem.lipschitz_L, problem.alpha, spec.scale()))
+        m2 = estimate_m2(problem, mesh.nodes, spec.q)
+    L1 = contraction_constant(problem.lipschitz_L, problem.alpha, scale)
+    bound = error_bound(mesh, problem.alpha, m2, L1)
+    trace = solve_ivp(problem, scale, spec.N)
+    _, abs_err = _exact_and_error(trace, problem)
 
-    report_data = error_report(trace, problem, m2=m2, L1=L1)
     ratios = np.array([e / b if b else (math.inf if e else 0.0) for e, b in
-                       zip(report_data.abs_err.tolist(), report_data.bound.tolist())])
+                       zip(abs_err.tolist(), bound.tolist())])
     fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
-               for t in trace.mesh.nodes[1:])
-    sbound = stability_bound(problem.x0, fmax, float(trace.mesh.nodes[-1]),
+               for t in mesh.nodes[1:])
+    sbound = stability_bound(problem.x0, fmax, float(mesh.nodes[-1]),
                              spec.alpha, spec.q, L1)
     observed_max = float(np.max(np.abs(trace.states)))
     stab_ok = observed_max <= sbound * (1.0 + 1e-12)
-    report = {"nodes": trace.mesh.nodes[1:], "abs_err": report_data.abs_err,
-              "bound": report_data.bound, "ratio": ratios, "m2": m2, "L1": L1,
-              "stability_bound": sbound, "observed_max": observed_max,
-              "stability_ok": stab_ok}
-    within = (report_data.abs_err <= report_data.bound) | (report_data.abs_err <= 1e-12)
+    report = {"nodes": mesh.nodes[1:], "abs_err": abs_err, "bound": bound,
+              "ratio": ratios, "m2": m2, "L1": L1, "stability_bound": sbound,
+              "observed_max": observed_max, "stability_ok": stab_ok}
+    within = (abs_err <= bound) | (abs_err <= 1e-12)
     ok = stab_ok and bool(np.all(within))
     return report, ok
 
@@ -302,8 +305,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--problem", required=True, choices=problem_names())
         p.add_argument("--q", required=True, type=parse_rational,
                        help="scale index in (0,1); fractions like 2/3 accepted")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="fractional order (problem default if omitted)")
+        p.add_argument("--alpha", type=parse_rational, default=None,
+                       help="fractional order (problem default if omitted); "
+                            "fractions accepted")
         p.add_argument("--b", type=float, default=1.0, help="horizon (default 1)")
         p.add_argument("--out", default=None)
 

@@ -143,15 +143,6 @@ class SolveTrace:
     fp_increment_history: list = field(default_factory=list)
 
 
-@dataclass
-class ErrorReport:
-    """Observed errors vs. the a-priori bound, per node."""
-
-    abs_err: np.ndarray           # max-norm |x(t_n) - x^n|
-    bound: np.ndarray             # per-node error-estimate value
-    rate_constants: np.ndarray    # |e_n| / q^(2(N-n))
-
-
 def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
     """L_1 = L Gamma_q(1-alpha) b^alpha, Gamma_q the kept table's; contracts iff < 1."""
     if L < 0.0:
@@ -373,30 +364,18 @@ def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
     return (_norm(x0) + _table(q, alpha, 1).gamma * t_n ** alpha * fmax) / (1.0 - L1)
 
 
-def error_report(trace: SolveTrace, problem: IVProblem, m2: float,
-                 L1: float = 0.0) -> ErrorReport:
-    """Per-node errors against the exact solution, with the a-priori bound.
+def error_bound(mesh: QMesh, alpha: float, m2: float, L1: float = 0.0) -> np.ndarray:
+    """A-priori bound on the max-norm error |x(t_n) - x^n| at nodes n = 1 .. N,
 
-    The bound at node n is
-        (1/(1-L1)) * (1/4) * dt_n^2 * m2 / ((1 - q^2) (q^alpha - q)),
-    and the rate constants are |e_n| / q^(2(N-n)).
+        m2 dt_n^2 / (4 (1 - L1) (1 - q^2) (q^alpha - q)),
+
+    where m2 bounds |D_q^2 x| and L1 is the contraction constant.
     """
-    if problem.exact is None:
-        raise ValueError("error report needs a problem with an exact solution")
     _check_m2(m2)
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
-    mesh = trace.mesh
     q = mesh.scale.q
-    alpha = problem.alpha
-    N = mesh.N
-    abs_err = np.array([
-        _norm(np.atleast_1d(np.asarray(problem.exact(mesh.nodes[n]), dtype=float))
-              - trace.states[n])
-        for n in range(1, N + 1)])
-    bound = m2 * mesh.steps ** 2 / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
-    return ErrorReport(abs_err=abs_err, bound=bound,
-                       rate_constants=rate_constants(abs_err, q))
+    return m2 * mesh.steps ** 2 / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
 
 
 def rate_constants(abs_err: np.ndarray, q: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from qfde import MonotonicityError, NonConvergenceError, cli, solver
+from qfde import MonotonicityError, NonConvergenceError, cli, make_problem, solver
 from qfde.cli import (
     EXIT_ARGS,
     EXIT_BOUND,
@@ -305,6 +305,46 @@ def test_bounds_ratio_of_a_zero_bound(capsys):
 def test_main_bounds_ok():
     assert main(["bounds", "--problem", "manufactured-quadratic", "--q", "1/2",
                  "--N", "6"]) == EXIT_OK
+
+
+def test_bounds_refuse_a_problem_without_a_lipschitz_constant(monkeypatch, capsys):
+    # example2's right-hand side c (x-1)^(2/3) has no Lipschitz constant, so
+    # no theorem bounds its error; it is refused before any step is solved
+    calls = []
+    solve = cli.solve_ivp
+    monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args) or solve(*args))
+    spec = ProblemSpec(name="example2", q=0.9, N=60, alpha=2.0 / 3.0)
+    with pytest.raises(ValueError, match="'example2' has no Lipschitz constant"):
+        run_bounds(spec)
+    assert main(["bounds", "--problem", "example2", "--q", "0.9", "--N", "60"]) == EXIT_ARGS
+    out, err = capsys.readouterr()
+    assert out == "" and "'example2' has no Lipschitz constant" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("m2, calls", [(None, 3 * 12 + 1), (2.0, 1)])
+def test_run_bounds_exact_calls(m2, calls, monkeypatch):
+    # three per node to estimate m2, one vectorized call for the node errors
+    counted = []
+
+    def counting_problem(*args):
+        problem = make_problem(*args)
+        exact = problem.exact
+        problem.exact = lambda t: counted.append(t) or exact(t)
+        return problem
+
+    monkeypatch.setattr(cli, "make_problem", counting_problem)
+    run_bounds(ProblemSpec(name="manufactured-quadratic", q=0.5, N=12, alpha=0.5), m2=m2)
+    assert len(counted) == calls
+
+
+def test_alpha_accepts_fractions(capsys):
+    def stdout(alpha):
+        assert main(["solve", "--problem", "example2", "--q", "2/3", "--N", "10",
+                     "--alpha", alpha]) == EXIT_OK
+        return re.sub(r"wall=\S+", "wall=", capsys.readouterr().out)
+
+    assert stdout("2/3") == stdout("0.6666666666666666")
 
 
 def test_main_solve_near_q_one(tmp_path):

@@ -18,7 +18,7 @@ from qfde import (
     caputo_q_derivative,
     coefficients,
     contraction_constant,
-    error_report,
+    error_bound,
     make_problem,
     q_gamma,
     solve_ivp,
@@ -242,16 +242,31 @@ def test_stability_bound_dominates_example1_run():
     assert float(np.max(np.abs(trace.states))) <= cap
 
 
-def test_error_report_exact_states():
-    problem = make_problem("manufactured-quadratic", q=0.5, alpha=0.5)
-    scale = QScale(0.5, 1.0)
-    trace = solve_ivp(problem, scale, 6)
-    # feeding the exact solution back gives zero errors
-    for n in range(7):
-        trace.states[n] = problem.exact(float(trace.mesh.nodes[n]))
-    report = error_report(trace, problem, m2=1.5, L1=0.0)
-    assert np.all(report.abs_err == 0.0)
-    assert np.all(report.bound >= 0.0)
+def _node_errors(trace, problem):
+    """Max-norm errors |x(t_n) - x^n| at n = 1 .. N, one exact call per node."""
+    exact = np.array([np.atleast_1d(problem.exact(t)) for t in trace.mesh.nodes[1:]])
+    return np.max(np.abs(exact - trace.states[1:]), axis=1)
+
+
+@pytest.mark.parametrize("q, alpha, L1", [(0.25, 0.5, 0.0), (0.5, 0.3, 0.4),
+                                          (2.0 / 3.0, 2.0 / 3.0, 0.9),
+                                          (0.9, 0.7, 0.0)])
+def test_error_bound_is_the_truncation_bound_over_the_stability_factor(q, alpha, L1):
+    # Theorem 5: the error bound at node n is the remainder bound times
+    # Gamma_q(1-alpha) t_n^alpha, over 1 - L1
+    mesh = build_mesh(QScale(q, 1.0), 12)
+    bound = error_bound(mesh, alpha, 1.5, L1)
+    gamma = l1q._table(q, alpha, 1).gamma
+    for n in range(1, 13):
+        expect = (gamma * mesh.nodes[n] ** alpha
+                  * truncation_bound(mesh, n, alpha, 1.5) / (1.0 - L1))
+        assert bound[n - 1] == pytest.approx(expect, rel=1e-14)
+    with pytest.raises(ValueError, match="m2 must not be NaN or negative"):
+        error_bound(mesh, alpha, math.nan, L1)
+    with pytest.raises(ValueError, match="m2 must not be NaN or negative"):
+        error_bound(mesh, alpha, -1.0, L1)
+    with pytest.raises(ValueError, match="contraction constant"):
+        error_bound(mesh, alpha, 1.5, 1.0)
 
 
 def test_error_report_theorem5_dominance():
@@ -263,18 +278,19 @@ def test_error_report_theorem5_dominance():
         problem = make_problem(name, q=q, alpha=alpha)
         scale = QScale(q, 1.0)
         trace = solve_ivp(problem, scale, 10)
-        report = error_report(trace, problem, m2=1.0 + q, L1=0.0)
-        assert np.all(report.abs_err <= report.bound + 1e-12)
+        bound = error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0)
+        assert np.all(_node_errors(trace, problem) <= bound + 1e-12)
 
 
 def test_error_report_rate_constants():
     problem = make_problem("manufactured-quadratic", q=0.5, alpha=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 5)
-    report = error_report(trace, problem, m2=1.5, L1=0.0)
+    abs_err = _node_errors(trace, problem)
+    got = rate_constants(abs_err, 0.5)
     q, N = 0.5, 5
     for n in range(1, N + 1):
-        expect = report.abs_err[n - 1] / q ** (2 * (N - n))
-        assert report.rate_constants[n - 1] == pytest.approx(expect, rel=1e-13)
+        expect = abs_err[n - 1] / q ** (2 * (N - n))
+        assert got[n - 1] == pytest.approx(expect, rel=1e-13)
 
 
 def test_rate_constants_past_the_underflow_of_q_power():
@@ -283,10 +299,10 @@ def test_rate_constants_past_the_underflow_of_q_power():
     # and finite in between
     q, N = 0.125, 181
     problem = make_problem("manufactured-quadratic", q=q, alpha=0.5)
-    report = error_report(solve_ivp(problem, QScale(q, 1.0), N), problem,
-                          m2=1.0 + q, L1=0.0)
-    assert np.all(report.rate_constants[report.abs_err == 0.0] == 0.0)
-    assert np.all(np.isfinite(report.rate_constants))
+    abs_err = _node_errors(solve_ivp(problem, QScale(q, 1.0), N), problem)
+    constants = rate_constants(abs_err, q)
+    assert np.all(constants[abs_err == 0.0] == 0.0)
+    assert np.all(np.isfinite(constants))
     errs = np.full(N, 1e-16)
     errs[:4] = [5e-324, 0.0, 1e-300, 1.0]
     got = rate_constants(errs, q)
@@ -299,20 +315,12 @@ def test_rate_constants_past_the_underflow_of_q_power():
     assert got[1] == 0.0 and got[3] == np.inf
 
 
-def test_error_report_requires_exact():
-    problem = IVProblem(f=lambda t, x: np.zeros(1), alpha=0.5,
-                        x0=np.array([1.0]))
-    trace = solve_ivp(problem, QScale(0.5, 1.0), 3)
-    with pytest.raises(ValueError):
-        error_report(trace, problem, m2=1.0)
-
-
 def test_error_report_rejects_nan_m2():
     # a NaN m2 would make every bound NaN and every node a violation
     problem = make_problem("manufactured-linear", q=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 3)
     with pytest.raises(ValueError, match="m2 must not be NaN"):
-        error_report(trace, problem, m2=math.nan)
+        error_bound(trace.mesh, problem.alpha, m2=math.nan)
 
 
 def test_fixed_point_failure_carries_partial_trace(monkeypatch):
@@ -381,8 +389,8 @@ def test_vector_problem_componentwise():
                         exact=lambda t: np.array([1.0 + 2.0 * t, t * t + 1.0]))
     trace = solve_ivp(problem, QScale(q, 1.0), 8)
     assert trace.states.shape == (9, 2)
-    report = error_report(trace, problem, m2=1.0 + q, L1=0.0)
-    assert np.all(report.abs_err <= report.bound + 1e-12)
+    bound = error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0)
+    assert np.all(_node_errors(trace, problem) <= bound + 1e-12)
     # affine component is reproduced almost exactly
     errs_affine = [abs(trace.states[n, 0] - (1.0 + 2.0 * trace.mesh.nodes[n]))
                    for n in range(9)]
@@ -480,9 +488,9 @@ def test_manufactured_solutions_property(q, alpha, N):
     assert np.max(np.abs(trace.states[:, 0] - (1.0 + 2.0 * trace.mesh.nodes))) <= 1e-12
     quadratic = make_problem("manufactured-quadratic", q=q, alpha=alpha)
     trace = solve_ivp(quadratic, scale, N)
-    report = error_report(trace, quadratic, m2=1.0 + q, L1=0.0)
-    assert np.all(report.abs_err <= report.bound + 1e-12)
-    assert not np.any(np.isnan(report.rate_constants))
+    abs_err = _node_errors(trace, quadratic)
+    assert np.all(abs_err <= error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0) + 1e-12)
+    assert not np.any(np.isnan(rate_constants(abs_err, q)))
 
 
 @pytest.mark.parametrize("q, alpha, L, N", [(0.7, 0.5, 1.5, 12),
