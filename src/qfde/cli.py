@@ -5,13 +5,17 @@ Subcommands
     qfde converge --problem NAME --q Q --N-list a,b,c --delta D [...]
     qfde bounds   --problem NAME --q Q --N N [...]
 
-Each compares component 0 of the solve with the problem's exact solution
-(every registry problem has one), node by node; ``solve`` writes the rows
-(t, x_num, x_exact, abs_err, fp_iters).
+``main`` resolves the problem and the scale once, and each run takes what
+``solve_ivp`` takes: ``run_solve(problem, scale, N) -> (rows, failure)``,
+``run_convergence(problem, scale, N_list, delta)`` and
+``run_bounds(problem, scale, N, m2=None)``.  Each compares component 0 of
+the solve with the problem's exact solution (every registry problem has
+one), node by node; rows are (t, x_num, x_exact, abs_err, fp_iters).
 
 Exit codes: 0 success, 1 numerical failure (solver non-convergence and
 every other :class:`~qfde.errors.QCalculusError`), 2 bound violation,
-3 invalid arguments.
+3 invalid arguments.  A reader closing stdout early (``| head``) is no
+failure: the run stops writing and keeps its own exit code.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +35,7 @@ import numpy as np
 from . import solver
 from .errors import FixedPointError, QCalculusError
 from .l1q import build_mesh
-from .problems import default_alpha, make_problem, problem_names
+from .problems import make_problem, problem_names
 from .qcore import QScale, q_derivative_n
 from .solver import (
     IVProblem,
@@ -49,35 +53,6 @@ EXIT_BOUND = 2
 EXIT_ARGS = 3
 
 
-@dataclass
-class ProblemSpec:
-    """One resolved run request."""
-
-    name: str
-    q: float
-    b: float = 1.0
-    N: int = 10
-    alpha: Optional[float] = None
-
-    def __post_init__(self):
-        if self.alpha is None:
-            self.alpha = default_alpha(self.name)
-
-    def scale(self) -> QScale:
-        return QScale(q=self.q, b=self.b)
-
-    def problem(self) -> IVProblem:
-        return make_problem(self.name, self.q, self.b, self.alpha)
-
-
-@dataclass
-class RunRecord:
-    """Table rows plus run metadata for one solve."""
-
-    rows: list = field(default_factory=list)   # (t, x_num, x_exact, abs_err, fp_iters)
-    metadata: dict = field(default_factory=dict)
-
-
 def _exact_and_error(trace: SolveTrace, problem: IVProblem):
     """x(t_n) and |x(t_n) - x^n| of component 0 at the solved nodes, by one exact call."""
     solved = trace.states.shape[0] - 1
@@ -85,34 +60,22 @@ def _exact_and_error(trace: SolveTrace, problem: IVProblem):
     return exact, np.abs(exact - trace.states[1:, 0])
 
 
-def _record_from_trace(spec: ProblemSpec, trace: SolveTrace,
-                       problem: IVProblem, wall: float) -> RunRecord:
-    """Rows of the solved nodes, ordered by ascending t_n."""
+def run_solve(problem: IVProblem, scale: QScale, N: int):
+    """Execute one solve; return (rows, failure), rows ordered by ascending t_n.
+
+    failure is the :class:`FixedPointError` of the step that did not solve,
+    None when every step solved; the rows are those of the nodes before it.
+    """
+    try:
+        trace, failure = solve_ivp(problem, scale, N), None
+    except FixedPointError as err:
+        trace, failure = err.trace, err
     exact, abs_err = _exact_and_error(trace, problem)
     solved = exact.shape[0]
     rows = list(zip(trace.mesh.nodes[1:solved + 1].tolist(),
                     trace.states[1:, 0].tolist(), exact.tolist(), abs_err.tolist(),
                     trace.fp_iterations[:solved].tolist()))
-    meta = {"problem": spec.name, "q": spec.q, "alpha": spec.alpha,
-            "N": spec.N, "b": spec.b, "wall_time_s": wall}
-    return RunRecord(rows=rows, metadata=meta)
-
-
-def run_solve(spec: ProblemSpec) -> RunRecord:
-    """Execute one solve; rows ordered by ascending t_n.
-
-    On fixed-point failure the raised error carries a partial RunRecord
-    in ``error.record``.
-    """
-    problem = spec.problem()
-    start = time.perf_counter()
-    try:
-        trace = solve_ivp(problem, spec.scale(), spec.N)
-    except FixedPointError as err:
-        err.record = _record_from_trace(spec, err.trace, problem,
-                                        time.perf_counter() - start)
-        raise
-    return _record_from_trace(spec, trace, problem, time.perf_counter() - start)
+    return rows, failure
 
 
 # ---------------------------------------------------------------------------
@@ -121,38 +84,26 @@ def run_solve(spec: ProblemSpec) -> RunRecord:
 CSV_HEADER = ("t", "x_num", "x_exact", "abs_err", "fp_iters")
 
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.16e}"
-
-
-def emit_csv(record: RunRecord, stream) -> None:
+def emit_csv(rows, stream) -> None:
     """CSV with header t,x_num,x_exact,abs_err,fp_iters; 17 significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for *values, fp in record.rows:
-        writer.writerow([*map(_fmt_float, values), fp])
+    for *values, fp in rows:
+        writer.writerow([*(f"{v:.16e}" for v in values), fp])
 
 
-def parse_csv(stream) -> RunRecord:
-    """Read back an emitted CSV into a RunRecord (exact float round trip)."""
+def parse_csv(stream) -> list:
+    """Read back an emitted CSV into its rows (exact float round trip)."""
     reader = csv.reader(stream)
     header = next(reader)
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {header}")
-    return RunRecord(rows=[(*map(float, line[:4]), int(line[4])) for line in reader])
+    return [(*map(float, line[:4]), int(line[4])) for line in reader]
 
 
-def emit_table(record: RunRecord, stream) -> None:
-    meta = record.metadata
-    if meta:
-        stream.write(
-            f"# problem={meta['problem']} q={meta['q']:.12g} "
-            f"alpha={meta['alpha']:.12g} N={meta['N']} b={meta['b']:.12g} "
-            f"fp_tol={solver.FP_TOL:g} max_iters={solver.MAX_FP_ITERS} "
-            f"perturb={solver.START_PERTURBATION:g} "
-            f"wall={meta['wall_time_s']:.3g}s\n")
+def emit_table(rows, stream) -> None:
     stream.write(f"{'t_n':>24} {'x_num':>24} {'x_exact':>24} {'abs_err':>13} {'fp':>4}\n")
-    for t, x, xe, err, fp in record.rows:
+    for t, x, xe, err, fp in rows:
         stream.write(f"{t:>24.16e} {x:>24.16e} {xe:>24.16e} {err:>13.5e} {fp:>4d}\n")
 
 
@@ -160,42 +111,52 @@ def _write_output(out: Optional[str], emit) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
-    else:
+        return
+    try:
         emit(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``); fd 1 now points at devnull,
+        # so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
 # convergence study
 
-def run_convergence(spec: ProblemSpec, N_list: list, delta: float):
+def run_convergence(problem: IVProblem, scale: QScale, N_list: list, delta: float):
     """Solve at each N; summarize the error decay over nodes n <= (1-delta)N.
 
     Returns the summary, which carries the fitted log-error slope per
     unit N and the reference value 2*delta*ln(1/q).  That value
     is the decay rate of the a-priori bound |e_n| <= C q^(2(N-n)) over
     the nodes n <= (1-delta)N, so it is a lower bound on the observed
-    decay, not a prediction of it.
+    decay, not a prediction of it.  A delta that leaves some N no such node
+    raises ValueError before any solve; a max error of 0 leaves no fit.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not N_list or any(N < 2 for N in N_list):
-        raise ValueError("convergence study needs a nonempty N list, every N >= 2")
-    problem = spec.problem()
+    if not N_list:
+        raise ValueError("convergence study needs a nonempty N list")
+    cuts = [int((1.0 - delta) * N) for N in N_list]
+    if min(cuts) < 1:    # the cut grows with N
+        raise ValueError(f"delta={delta:g} leaves N={min(N_list)} no node n <= (1-delta)N")
     max_errs, rate_consts = [], []
-    for N in N_list:
-        _, errs = _exact_and_error(solve_ivp(problem, spec.scale(), N), problem)
-        n_cut = int((1.0 - delta) * N)
-        max_errs.append(float(np.max(errs[:n_cut])) if n_cut >= 1 else float("nan"))
-        rate_consts.append(float(np.max(rate_constants(errs, spec.q))))
+    for N, n_cut in zip(N_list, cuts):
+        _, errs = _exact_and_error(solve_ivp(problem, scale, N), problem)
+        max_errs.append(float(np.max(errs[:n_cut])))
+        rate_consts.append(float(np.max(rate_constants(errs, scale.q))))
 
     summary = {"N_list": list(N_list), "max_err": max_errs,
                "rate_constants": rate_consts, "delta": delta,
-               "target_decay": 2.0 * delta * math.log(1.0 / spec.q),
-               "all_exact": all(e == 0.0 for e in max_errs)}
-    if len(N_list) < 2 or summary["all_exact"]:
-        summary["fitted_decay"] = None
-        summary["warning"] = ("errors are exactly zero; no fit" if summary["all_exact"]
-                              else "single N gives no decay fit")
+               "target_decay": 2.0 * delta * math.log(1.0 / scale.q),
+               "all_exact": all(e == 0.0 for e in max_errs), "fitted_decay": None}
+    if summary["all_exact"]:
+        summary["warning"] = "errors are exactly zero; no fit"
+    elif 0.0 in max_errs:
+        summary["warning"] = "a max error is exactly zero; no fit"
+    elif len(N_list) < 2:
+        summary["warning"] = "single N gives no decay fit"
     else:
         slope = np.polyfit(np.asarray(N_list, float), np.log(max_errs), 1)[0]
         summary["fitted_decay"] = -float(slope)
@@ -228,7 +189,7 @@ def estimate_m2(problem: IVProblem, mesh_nodes: np.ndarray, q: float) -> float:
     return worst
 
 
-def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
+def run_bounds(problem: IVProblem, scale: QScale, N: int, m2: Optional[float] = None):
     """Check observed errors against the a-priori bound, node by node.
 
     Returns (report dict, ok flag); ok is False when any ratio exceeds 1
@@ -237,17 +198,14 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     solutions do not trip on a zero bound.  A problem without a Lipschitz
     constant, a bad m2 or an L1 >= 1 raises ValueError before the solve.
     """
-    problem = spec.problem()
     if problem.lipschitz_L is None:
-        raise ValueError(f"problem {spec.name!r} has no Lipschitz constant; "
-                         "the bounds need one")
-    scale = spec.scale()
-    mesh = build_mesh(scale, spec.N)
+        raise ValueError("the problem has no Lipschitz constant; the bounds need one")
+    mesh = build_mesh(scale, N)
     if m2 is None:
-        m2 = estimate_m2(problem, mesh.nodes, spec.q)
+        m2 = estimate_m2(problem, mesh.nodes, scale.q)
     L1 = contraction_constant(problem.lipschitz_L, problem.alpha, scale)
     bound = error_bound(mesh, problem.alpha, m2, L1)
-    trace = solve_ivp(problem, scale, spec.N)
+    trace = solve_ivp(problem, scale, N)
     _, abs_err = _exact_and_error(trace, problem)
 
     ratios = np.array([e / b if b else (math.inf if e else 0.0) for e, b in
@@ -255,7 +213,7 @@ def run_bounds(spec: ProblemSpec, m2: Optional[float] = None):
     fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
                for t in mesh.nodes[1:])
     sbound = stability_bound(problem.x0, fmax, float(mesh.nodes[-1]),
-                             spec.alpha, spec.q, L1)
+                             problem.alpha, scale.q, L1)
     observed_max = float(np.max(np.abs(trace.states)))
     stab_ok = observed_max <= sbound * (1.0 + 1e-12)
     report = {"nodes": mesh.nodes[1:], "abs_err": abs_err, "bound": bound,
@@ -331,22 +289,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args, N: int) -> ProblemSpec:
-    return ProblemSpec(name=args.problem, q=args.q, b=args.b, N=N, alpha=args.alpha)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        problem = make_problem(args.problem, args.q, args.b, args.alpha)
+        scale = QScale(args.q, args.b)
         if args.command == "solve":
-            emit = emit_csv if args.format == "csv" else emit_table
-            try:
-                record = run_solve(_spec_from_args(args, args.N))
-            except FixedPointError as err:
-                _write_output(args.out, lambda fh: emit(err.record, fh))
-                sys.stderr.write(f"error: {err}\n")
+            start = time.perf_counter()
+            rows, failure = run_solve(problem, scale, args.N)
+            wall = time.perf_counter() - start
+
+            def emit(fh):
+                if args.format == "csv":
+                    emit_csv(rows, fh)
+                else:
+                    fh.write(f"# problem={args.problem} q={args.q:.12g} "
+                             f"alpha={problem.alpha:.12g} N={args.N} b={args.b:.12g} "
+                             f"fp_tol={solver.FP_TOL:g} max_iters={solver.MAX_FP_ITERS} "
+                             f"perturb={solver.START_PERTURBATION:g} wall={wall:.3g}s\n")
+                    emit_table(rows, fh)
+
+            _write_output(args.out, emit)
+            if failure is not None:
+                sys.stderr.write(f"error: {failure}\n")
                 return EXIT_SOLVER
-            _write_output(args.out, lambda fh: emit(record, fh))
             return EXIT_OK
 
         if args.command == "converge":
@@ -354,14 +320,12 @@ def main(argv=None) -> int:
                 N_list = [int(part) for part in args.N_list.split(",") if part]
             except ValueError:
                 raise ValueError(f"bad --N-list {args.N_list!r}") from None
-            spec = _spec_from_args(args, max(N_list, default=2))
-            summary = run_convergence(spec, N_list, args.delta)
+            summary = run_convergence(problem, scale, N_list, args.delta)
             _write_output(args.out, lambda fh: emit_convergence(summary, fh))
             return EXIT_OK
 
         if args.command == "bounds":
-            spec = _spec_from_args(args, args.N)
-            report, ok = run_bounds(spec, m2=args.m2)
+            report, ok = run_bounds(problem, scale, args.N, m2=args.m2)
             _write_output(args.out, lambda fh: emit_bounds(report, fh))
             return EXIT_OK if ok else EXIT_BOUND
 

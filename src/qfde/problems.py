@@ -104,18 +104,11 @@ _REGISTRY = {
     "manufactured-quadratic": _manufactured_quadratic,
 }
 
-DEFAULT_ALPHA = {
-    "example1": 0.5,
-    "example2": 2.0 / 3.0,
-}
+DEFAULT_ALPHA = {"example1": 0.5, "example2": 2.0 / 3.0}   # 1/2 for the others
 
 
 def problem_names():
     return sorted(_REGISTRY)
-
-
-def default_alpha(name: str) -> float:
-    return DEFAULT_ALPHA.get(name, 0.5)
 
 
 def make_problem(name: str, q: float, b: float = 1.0,
@@ -125,5 +118,5 @@ def make_problem(name: str, q: float, b: float = 1.0,
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(problem_names())}")
     if alpha is None:
-        alpha = default_alpha(name)
+        alpha = DEFAULT_ALPHA.get(name, 0.5)
     return _REGISTRY[name](q, b, alpha)

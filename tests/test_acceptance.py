@@ -49,7 +49,7 @@ from qfde import (
     solve_linear_history,
     truncation_bound,
 )
-from qfde.cli import ProblemSpec, emit_csv, parse_csv, run_convergence, run_solve
+from qfde.cli import emit_csv, parse_csv, run_convergence, run_solve
 
 from oracles import mp_caputo, mp_closed_b1, mp_l1q_march, mp_qgamma
 
@@ -79,9 +79,10 @@ def test_criterion_1_table2_reproduction():
     closed form (((1+q)/[4/3]_q)^3 - 1) t_1^2; runtime < 1 s."""
     q, alpha, N = 2.0 / 3.0, 2.0 / 3.0, 10
     start = time.perf_counter()
-    record = run_solve(ProblemSpec(name="example2", q=q, N=N, alpha=alpha))
+    rows, failure = run_solve(make_problem("example2", q, 1.0, alpha), QScale(q), N)
+    assert failure is None
     wall = time.perf_counter() - start
-    errs = [row[3] for row in record.rows]
+    errs = [row[3] for row in rows]
 
     mq = mp.mpf(q)
     c = (1 + mq) / mp_qgamma(mp.mpf(7) / 3, mq)
@@ -122,10 +123,11 @@ def test_criterion_2_table1_reproduction_conditional():
     assert got == pytest.approx(want, rel=1e-12)
 
     start = time.perf_counter()
-    record = run_solve(ProblemSpec(name="example1", q=q, N=10, alpha=0.5))
+    rows, failure = run_solve(make_problem("example1", q, 1.0, 0.5), QScale(q), 10)
+    assert failure is None
     wall = time.perf_counter() - start
-    states = [row[1] for row in record.rows]
-    errs = [row[3] for row in record.rows]
+    states = [row[1] for row in rows]
+    errs = [row[3] for row in rows]
 
     mq = mp.mpf(q)
     c1 = 1 / mp_qgamma(1.5, mq)
@@ -334,8 +336,8 @@ def test_criterion_7_convergence_scaling():
     which predicts a decay of (2 - beta/2) ln(1/q) = 0.6576.  Every rate
     constant equals ((1+q)/[4/3]_q)^3 - 1 = 1.3543, so their spread is 1."""
     start = time.perf_counter()
-    spec = ProblemSpec(name="example2", q=2.0 / 3.0, N=12, alpha=2.0 / 3.0)
-    summary = run_convergence(spec, [6, 8, 10, 12], delta=0.5)
+    summary = run_convergence(make_problem("example2", 2.0 / 3.0, 1.0, 2.0 / 3.0),
+                              QScale(2.0 / 3.0), [6, 8, 10, 12], delta=0.5)
     wall = time.perf_counter() - start
     fit, target = summary["fitted_decay"], summary["target_decay"]
     spread = max(summary["rate_constants"]) / min(summary["rate_constants"])
@@ -354,7 +356,7 @@ def test_criterion_7_convergence_scaling():
 
 def test_criterion_8_determinism_and_csv_round_trip():
     """Identical configs give bit-identical traces; CSV parses back to the
-    exact in-memory record."""
+    exact in-memory rows."""
     problem = make_problem("example2", q=2.0 / 3.0)
     scale = QScale(2.0 / 3.0, 1.0)
     a = solve_ivp(problem, scale, 10)
@@ -363,11 +365,11 @@ def test_criterion_8_determinism_and_csv_round_trip():
                  and np.array_equal(a.fp_iterations, b.fp_iterations)
                  and np.array_equal(a.residuals, b.residuals))
 
-    record = run_solve(ProblemSpec(name="example2", q=2.0 / 3.0, N=10,
-                                   alpha=2.0 / 3.0))
+    rows, failure = run_solve(problem, scale, 10)
+    assert failure is None
     buf = io.StringIO()
-    emit_csv(record, buf)
-    round_trip = parse_csv(io.StringIO(buf.getvalue())).rows == record.rows
+    emit_csv(rows, buf)
+    round_trip = parse_csv(io.StringIO(buf.getvalue())) == rows
 
     ok = identical and round_trip
     _report(8, ok, f"bit-identical traces: {identical}; exact CSV round "

@@ -2,19 +2,31 @@
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from qfde import MonotonicityError, NonConvergenceError, cli, make_problem, solver
+from qfde import (
+    FixedPointError,
+    IVProblem,
+    MonotonicityError,
+    NonConvergenceError,
+    QScale,
+    build_mesh,
+    cli,
+    make_problem,
+    solver,
+)
 from qfde.cli import (
     EXIT_ARGS,
     EXIT_BOUND,
     EXIT_OK,
     EXIT_SOLVER,
-    ProblemSpec,
     emit_csv,
     main,
     parse_csv,
@@ -34,28 +46,47 @@ def test_parse_rational():
 
 
 def test_run_solve_constant_rows():
-    record = run_solve(ProblemSpec(name="constant", q=0.5, N=4, alpha=0.5))
-    assert len(record.rows) == 4
-    for t, x, xe, err, fp in record.rows:
+    rows, failure = run_solve(make_problem("constant", 0.5, 1.0, 0.5), QScale(0.5), 4)
+    assert failure is None
+    assert len(rows) == 4
+    for t, x, xe, err, fp in rows:
         assert x == 1.0 and xe == 1.0 and err == 0.0
-    assert record.metadata["N"] == 4
-    assert [r[0] for r in record.rows] == sorted(r[0] for r in record.rows)
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+
+
+def test_run_solve_rows_before_a_failed_step():
+    # f is finite before node t_k and infinite from t_k on: steps 1..k-1
+    # solve, step k fails, and the rows are those of the k-1 solved nodes
+    scale, N, k = QScale(0.5), 8, 5
+    nodes = build_mesh(scale, N).nodes
+    t_k = float(nodes[k])
+    problem = IVProblem(f=lambda t, x: np.array([0.0 if t < t_k else math.inf]),
+                        alpha=0.5, x0=np.array([1.0]), lipschitz_L=0.0,
+                        exact=lambda t: 1.0 + 0.0 * np.asarray(t))
+    rows, failure = run_solve(problem, scale, N)
+    assert isinstance(failure, FixedPointError)
+    assert failure.step == k
+    assert len(rows) == k - 1
+    assert all(x == 1.0 and err == 0.0 for _, x, _, err, _ in rows)
+    assert [row[0] for row in rows] == nodes[1:k].tolist()
 
 
 def test_csv_round_trip_exact():
-    record = run_solve(ProblemSpec(name="manufactured-quadratic", q=2.0 / 3.0,
-                                   N=8, alpha=2.0 / 3.0))
+    problem = make_problem("manufactured-quadratic", 2.0 / 3.0, 1.0, 2.0 / 3.0)
+    rows, failure = run_solve(problem, QScale(2.0 / 3.0), 8)
+    assert failure is None
     buf = io.StringIO()
-    emit_csv(record, buf)
+    emit_csv(rows, buf)
     back = parse_csv(io.StringIO(buf.getvalue()))
-    assert back.rows == record.rows  # bitwise float equality via 17 digits
+    assert back == rows  # bitwise float equality via 17 digits
 
 
 def test_csv_format_contract():
-    record = run_solve(ProblemSpec(name="manufactured-linear", q=0.5, N=3,
-                                   alpha=0.5))
+    problem = make_problem("manufactured-linear", 0.5, 1.0, 0.5)
+    rows, failure = run_solve(problem, QScale(0.5), 3)
+    assert failure is None
     buf = io.StringIO()
-    emit_csv(record, buf)
+    emit_csv(rows, buf)
     text = buf.getvalue()
     lines = text.split("\n")
     assert lines[0] == "t,x_num,x_exact,abs_err,fp_iters"
@@ -75,7 +106,7 @@ def test_main_solve_ok(tmp_path, capsys):
     code = main(["solve", "--problem", "example2", "--q", "2/3", "--N", "10",
                  "--format", "csv", "--out", str(out)])
     assert code == EXIT_OK
-    rows = parse_csv(out.open()).rows
+    rows = parse_csv(out.open())
     assert len(rows) == 10
     assert rows[-1][0] == 1.0
 
@@ -84,11 +115,13 @@ def test_main_solve_table_stdout(capsys):
     code = main(["solve", "--problem", "constant", "--q", "0.5", "--N", "3"])
     assert code == EXIT_OK
     text = capsys.readouterr().out
-    assert "t_n" in text and text.count("\n") >= 4
-    # the header shows every solver setting, not a fingerprint of them
-    header = text.split("\n")[0]
-    assert " fp_tol=1e-13 max_iters=200 perturb=1e-08 " in header
-    assert "config=" not in header
+    assert "t_n" in text and text.count("\n") == 5  # header line, column names, 3 rows
+    # the header names the run and shows every solver setting, not a
+    # fingerprint of them; alpha is the problem's default
+    header, wall = text.split("\n")[0].split("wall=")
+    assert header == ("# problem=constant q=0.5 alpha=0.5 N=3 b=1 fp_tol=1e-13 "
+                      "max_iters=200 perturb=1e-08 ")
+    assert re.fullmatch(r"\S+s", wall)
 
 
 def test_main_invalid_arguments(capsys):
@@ -187,7 +220,7 @@ def test_main_solver_failure_writes_partial(tmp_path, monkeypatch, capsys):
     code = main(["solve", "--problem", "example2", "--q", "2/3", "--N", "5",
                  "--format", "csv", "--out", str(out)])
     assert code == EXIT_SOLVER
-    assert parse_csv(out.open()).rows == []  # step 1 failed, header only
+    assert parse_csv(out.open()) == []  # step 1 failed, header only
     assert "did not converge" in capsys.readouterr().err
 
 
@@ -225,9 +258,12 @@ def test_main_solve_past_old_rejection(capsys):
     assert capsys.readouterr().out.count("\n") == 102  # metadata, header, 100 rows
 
 
+def _study(name, q, alpha, N_list, delta):
+    return run_convergence(make_problem(name, q, 1.0, alpha), QScale(q), N_list, delta)
+
+
 def test_run_convergence_summary():
-    spec = ProblemSpec(name="example2", q=2.0 / 3.0, N=10, alpha=2.0 / 3.0)
-    summary = run_convergence(spec, [6, 8, 10], delta=0.5)
+    summary = _study("example2", 2.0 / 3.0, 2.0 / 3.0, [6, 8, 10], delta=0.5)
     assert len(summary["max_err"]) == 3 and all(e > 0.0 for e in summary["max_err"])
     assert summary["fitted_decay"] is not None
     assert summary["target_decay"] == pytest.approx(np.log(1.5), rel=1e-12)
@@ -236,24 +272,56 @@ def test_run_convergence_summary():
 
 
 def test_run_convergence_degenerate_cases():
-    spec = ProblemSpec(name="example2", q=2.0 / 3.0, N=10, alpha=2.0 / 3.0)
-    summary = run_convergence(spec, [8], delta=0.5)
+    summary = _study("example2", 2.0 / 3.0, 2.0 / 3.0, [8], delta=0.5)
     assert summary["fitted_decay"] is None
     assert "single N" in summary["warning"]
-    spec = ProblemSpec(name="constant", q=0.5, N=6, alpha=0.5)
-    summary = run_convergence(spec, [4, 6], delta=0.5)
+    summary = _study("constant", 0.5, 0.5, [4, 6], delta=0.5)
     assert summary["all_exact"]
     assert summary["fitted_decay"] is None
     # q^(2(N-n)) underflows at q = 1/8, N = 181; exact-zero errors give
     # rate constant 0, not 0/0
-    spec = ProblemSpec(name="manufactured-quadratic", q=0.125, N=181, alpha=0.5)
-    summary = run_convergence(spec, [150, 181], delta=0.5)
+    summary = _study("manufactured-quadratic", 0.125, 0.5, [150, 181], delta=0.5)
     assert summary["all_exact"]
     assert np.all(np.isfinite(summary["rate_constants"]))
     with pytest.raises(ValueError):
-        run_convergence(spec, [1, 4], delta=0.5)
+        _study("manufactured-quadratic", 0.125, 0.5, [1, 4], delta=0.5)
     with pytest.raises(ValueError):
-        run_convergence(spec, [4, 6], delta=1.5)
+        _study("manufactured-quadratic", 0.125, 0.5, [4, 6], delta=1.5)
+
+
+def test_converge_refuses_a_delta_that_leaves_an_N_no_node(monkeypatch, capsys):
+    # int((1 - 0.9) N) = 0 at N = 2 and 4: no node n <= (1-delta)N is left,
+    # and the study stops before any solve instead of printing nan errors
+    calls = []
+    solve = cli.solve_ivp
+    monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args) or solve(*args))
+    with pytest.raises(ValueError, match=r"^delta=0.9 leaves N=2 no node n <= \(1-delta\)N$"):
+        _study("example2", 2.0 / 3.0, 2.0 / 3.0, [2, 4], delta=0.9)
+    assert main(["converge", "--problem", "example2", "--q", "2/3",
+                 "--N-list", "2,4", "--delta", "0.9"]) == EXIT_ARGS
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: delta=0.9 leaves N=2 no node n <= (1-delta)N\n"
+    # N = 1 never has such a node
+    assert main(["converge", "--problem", "example2", "--q", "2/3",
+                 "--N-list", "1,4", "--delta", "0.5"]) == EXIT_ARGS
+    assert "leaves N=1 no node" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_converge_fits_no_decay_through_a_zero_error(capsys):
+    # at q = 1/4, N = 20 every error on n <= 10 is exactly 0, whose log is
+    # -inf: the study says so and fits nothing
+    summary = _study("example1", 0.25, 0.5, [10, 20], delta=0.5)
+    assert summary["max_err"][0] > 0.0 and summary["max_err"][1] == 0.0
+    assert not summary["all_exact"]
+    assert summary["fitted_decay"] is None
+    assert summary["warning"] == "a max error is exactly zero; no fit"
+    assert main(["converge", "--problem", "example1", "--q", "1/4",
+                 "--N-list", "10,20", "--delta", "0.5"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1] == "warning: a max error is exactly zero; no fit"
+    assert "fitted" not in out
 
 
 def test_main_converge_ok(tmp_path):
@@ -264,10 +332,12 @@ def test_main_converge_ok(tmp_path):
     assert "fitted log-error decay" in out.read_text()
 
 
+def _bounds(name, q, alpha, N, m2=None):
+    return run_bounds(make_problem(name, q, 1.0, alpha), QScale(q), N, m2=m2)
+
+
 def test_run_bounds_ok_and_violation_exit():
-    spec = ProblemSpec(name="manufactured-quadratic", q=2.0 / 3.0, N=8,
-                       alpha=2.0 / 3.0)
-    report, ok = run_bounds(spec)
+    report, ok = _bounds("manufactured-quadratic", 2.0 / 3.0, 2.0 / 3.0, 8)
     assert ok
     assert np.all(report["ratio"] <= 1.0)
     assert report["m2"] == pytest.approx(1.0 + 2.0 / 3.0, rel=1e-9)
@@ -279,8 +349,7 @@ def test_run_bounds_ok_and_violation_exit():
 
 
 def test_run_bounds_affine_exact():
-    spec = ProblemSpec(name="manufactured-linear", q=0.5, N=6, alpha=0.5)
-    report, ok = run_bounds(spec)
+    report, ok = _bounds("manufactured-linear", 0.5, 0.5, 6)
     assert ok
     assert np.all(report["abs_err"] <= 1e-10)
     assert np.all(report["bound"] <= 1e-6)
@@ -293,11 +362,11 @@ def test_bounds_ratio_of_a_zero_bound(capsys):
                  "--m2", "0"]) == EXIT_BOUND
     rows = capsys.readouterr().out.splitlines()[2:12]
     assert all(row.split()[3] == "inf" and len(row) == 63 for row in rows)
-    report, ok = run_bounds(ProblemSpec(name="constant", q=0.25, N=10, alpha=0.5), m2=0.0)
+    report, ok = _bounds("constant", 0.25, 0.5, 10, m2=0.0)
     assert ok and np.all(report["bound"] == 0.0) and np.all(report["abs_err"] == 0.0)
     assert report["ratio"].tolist() == [0.0] * 10
     # a positive bound keeps the plain quotient
-    report, _ = run_bounds(ProblemSpec(name="example1", q=0.25, N=10, alpha=0.5), m2=1.0)
+    report, _ = _bounds("example1", 0.25, 0.5, 10, m2=1.0)
     assert np.all(report["bound"] > 0.0)
     assert np.array_equal(report["ratio"], report["abs_err"] / report["bound"])
 
@@ -313,28 +382,23 @@ def test_bounds_refuse_a_problem_without_a_lipschitz_constant(monkeypatch, capsy
     calls = []
     solve = cli.solve_ivp
     monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args) or solve(*args))
-    spec = ProblemSpec(name="example2", q=0.9, N=60, alpha=2.0 / 3.0)
-    with pytest.raises(ValueError, match="'example2' has no Lipschitz constant"):
-        run_bounds(spec)
+    message = "the problem has no Lipschitz constant; the bounds need one"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _bounds("example2", 0.9, 2.0 / 3.0, 60)
     assert main(["bounds", "--problem", "example2", "--q", "0.9", "--N", "60"]) == EXIT_ARGS
     out, err = capsys.readouterr()
-    assert out == "" and "'example2' has no Lipschitz constant" in err
+    assert out == "" and err == f"error: {message}\n"
     assert calls == []
 
 
 @pytest.mark.parametrize("m2, calls", [(None, 3 * 12 + 1), (2.0, 1)])
-def test_run_bounds_exact_calls(m2, calls, monkeypatch):
+def test_run_bounds_exact_calls(m2, calls):
     # three per node to estimate m2, one vectorized call for the node errors
     counted = []
-
-    def counting_problem(*args):
-        problem = make_problem(*args)
-        exact = problem.exact
-        problem.exact = lambda t: counted.append(t) or exact(t)
-        return problem
-
-    monkeypatch.setattr(cli, "make_problem", counting_problem)
-    run_bounds(ProblemSpec(name="manufactured-quadratic", q=0.5, N=12, alpha=0.5), m2=m2)
+    problem = make_problem("manufactured-quadratic", 0.5, 1.0, 0.5)
+    exact = problem.exact
+    problem.exact = lambda t: counted.append(t) or exact(t)
+    run_bounds(problem, QScale(0.5), 12, m2=m2)
     assert len(counted) == calls
 
 
@@ -354,9 +418,9 @@ def test_main_solve_near_q_one(tmp_path):
     assert main(["solve", "--problem", "manufactured-quadratic", "--q", "0.999",
                  "--N", "2000", "--format", "csv", "--out", str(out)]) == EXIT_OK
     with open(out, encoding="utf-8") as fh:
-        record = parse_csv(fh)
-    assert len(record.rows) == 2000
-    assert all(math.isfinite(row[1]) for row in record.rows)
+        rows = parse_csv(fh)
+    assert len(rows) == 2000
+    assert all(math.isfinite(row[1]) for row in rows)
 
 
 def test_main_q_past_the_tail_limit_fails_at_once(capsys):
@@ -366,3 +430,23 @@ def test_main_q_past_the_tail_limit_fails_at_once(capsys):
     assert time.perf_counter() - start < 0.1
     assert code == EXIT_SOLVER
     assert "over the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    pytest.param(["solve", "--problem", "example2", "--q", "0.9", "--N", "2000"],
+                 EXIT_OK, 1, id="solve-head-1"),
+    pytest.param(["bounds", "--problem", "example1", "--q", "1/4", "--N", "10",
+                  "--m2", "0"], EXIT_BOUND, 0, id="bounds-closed-at-once"),
+])
+def test_closed_stdout_ends_the_run_quietly(argv, code, lines):
+    # a reader that closes the pipe early (``| head -1``, or before any read)
+    # is not a failure: no traceback, and the run keeps its own exit code
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-W", "error", "-m", "qfde.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == code
+    assert err == b""
