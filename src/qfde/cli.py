@@ -131,13 +131,17 @@ def run_convergence(problem: IVProblem, scale: QScale, N_list: list, delta: floa
     unit N and the reference value 2*delta*ln(1/q).  That value
     is the decay rate of the a-priori bound |e_n| <= C q^(2(N-n)) over
     the nodes n <= (1-delta)N, so it is a lower bound on the observed
-    decay, not a prediction of it.  A delta that leaves some N no such node
-    raises ValueError before any solve; a max error of 0 leaves no fit.
+    decay, not a prediction of it.  A repeated N, or a delta that leaves
+    some N no such node, raises ValueError before any solve; a max error
+    of 0 leaves no fit.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not N_list:
         raise ValueError("convergence study needs a nonempty N list")
+    for k, N in enumerate(N_list):
+        if N in N_list[:k]:    # a decay fit needs distinct N
+            raise ValueError(f"N={N} is repeated in the N list")
     cuts = [int((1.0 - delta) * N) for N in N_list]
     if min(cuts) < 1:    # the cut grows with N
         raise ValueError(f"delta={delta:g} leaves N={min(N_list)} no node n <= (1-delta)N")
@@ -240,8 +244,14 @@ def emit_bounds(report, stream) -> None:
 # argument handling
 
 def parse_rational(text: str) -> float:
-    """Parse '2/3' exactly as a fraction before conversion to double."""
-    return float(Fraction(text)) if "/" in text else float(text)
+    """Parse '2/3' exactly as a fraction before conversion to double.
+
+    A zero denominator or a fraction past the double range is a usage error.
+    """
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except ArithmeticError as err:
+        raise ValueError(f"{text!r}: {err}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -19,11 +19,15 @@ and puts the slot back after.
 A step then costs that dot product, the start, and per update one call
 of f and a few operations on the state.
 
+:func:`solve_ivp` runs the one step loop.  :func:`solve_linear_history`
+is :func:`solve_ivp` on given forcing samples f^1 .. f^N: its f returns
+f^n at t_n, so the first update of each step is the step's solution.
+
 The state is a Python float when d = 1 and an array of shape (d,)
-otherwise, chosen once per solve from d: the one update loop is written
+otherwise, chosen once per solve from d: the one step loop is written
 over the few operations that differ (the call of f, the norm, the inner
-product and the start); for d = 1 the march and the start read and
-write the one column of the states and increments as 1-D views.  f
+product and the start); for d = 1 it reads and writes the one column
+of the states and increments as 1-D views.  f
 still receives x as a fresh float64 array of shape (d,) and t as a
 float, and for d = 1 its value is read back as one float.  Each float
 operation rounds as numpy's does on one component.
@@ -65,8 +69,8 @@ non-finite at t_n costs one call per start.
 f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
 Each input is checked once, where it enters: q and b by QScale, N by
-build_mesh (N = len(fsamples) for :func:`solve_linear_history`), alpha
-and x0 by :class:`IVProblem`.
+build_mesh (N = len(fsamples) for :func:`solve_linear_history`, which
+also checks its samples), alpha and x0 by :class:`IVProblem`.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share only read-only weight tables, and may run
@@ -117,18 +121,12 @@ class IVProblem:
             raise ValueError(f"fractional order must be in (0, 1), got {self.alpha}")
         if self.lipschitz_L is not None and not self.lipschitz_L >= 0.0:
             raise ValueError(f"Lipschitz constant must be >= 0, got {self.lipschitz_L}")
-        self.x0 = _initial_value(self.x0)
-        self.d = self.x0.shape[0]
-
-
-def _initial_value(x0) -> np.ndarray:
-    """x0 as a 1-D float array; raises ValueError unless it is finite."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.ndim != 1:
-        raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial value x0 must be finite, got {x0}")
-    return x0
+        x0 = self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.ndim != 1:
+            raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"initial value x0 must be finite, got {x0}")
+        self.d = x0.shape[0]
 
 
 @dataclass
@@ -140,7 +138,7 @@ class SolveTrace:
     fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded;
                                   # both attempts when the step falls back to the nudged start)
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
-    fp_increment_history: list = field(default_factory=list)
+    fp_increment_history: list    # per-step list of every update's increment
 
 
 def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
@@ -163,52 +161,8 @@ def _norm(v: np.ndarray) -> float:
     return total if total != total else max(map(abs, values))
 
 
-def _same(v):
-    return v
-
-
 def _single(v: float) -> list:
     return [v]
-
-
-def _march(mesh: QMesh, alpha: float, states: np.ndarray, step: Callable) -> None:
-    """Fill states[1:] by the increment form of the scheme.
-
-    step(n, t_n, base, gain, prev, last) returns x^n = base + gain * f^n
-    for the caller's f^n, where base = x^{n-1} - hist_n / lead_n,
-    gain = Gamma_q(1-alpha) t_n^alpha / lead_n, t_n is a Python float,
-    prev = x^{n-1} and last = dx^{n-1} (zero at n = 1).  When d = 1 the
-    states are Python floats: base, prev and last are floats and step
-    returns one.  Otherwise they are arrays of shape (d,).
-    """
-    N = mesh.N
-    table = _table(mesh.scale.q, alpha, N)
-    G, S = table.G[:N], table.S[:N + 1]
-    lead = np.full(N + 1, G[0])
-    lead[1] = S[1]
-    gains = (table.gamma * mesh.nodes ** alpha / lead).tolist()
-    nodes = mesh.nodes.tolist()
-    # weights[N-1-m] = G(m)/G(0), so hist_n / lead_n = weights[N-n:N-1] @ dx[1:n]
-    # once slot N-n, which holds G(n-1)/G(0), holds S(n)/G(0) instead.
-    weights = G[::-1] / G[0]
-    kept = weights.tolist()
-    first = (S / G[0]).tolist()
-    dx = np.zeros_like(states)
-    if states.shape[1] == 1:
-        states, dx = states[:, 0], dx[:, 0]
-        state, prev, last = float, float(states[0]), 0.0
-    else:
-        state, prev, last = _same, states[0], dx[0]
-    for n in range(1, N + 1):
-        k = N - n
-        weights[k] = first[n]
-        hist = state(weights[k:N - 1] @ dx[1:n])
-        x = step(n, nodes[n], prev - hist, gains[n], prev, last)
-        weights[k] = kept[k]
-        states[n] = x
-        last = x - prev
-        dx[n] = last
-        prev = x
 
 
 def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
@@ -221,9 +175,21 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     """
     mesh = build_mesh(scale, N)
     alpha = problem.alpha
+    table = _table(scale.q, alpha, N)
+    G, S = table.G[:N], table.S[:N + 1]
+    lead = np.full(N + 1, G[0])
+    lead[1] = S[1]
+    gains = (table.gamma * mesh.nodes ** alpha / lead).tolist()
+    nodes = mesh.nodes.tolist()
+    # weights[N-1-m] = G(m)/G(0), so hist_n / lead_n = weights[N-n:N-1] @ dx[1:n]
+    # once slot N-n, which holds G(n-1)/G(0), holds S(n)/G(0) instead.
+    weights = G[::-1] / G[0]
+    kept = weights.tolist()
+    first = (S / G[0]).tolist()
 
     states = np.zeros((N + 1, problem.d))
     states[0] = problem.x0
+    dx = np.zeros_like(states)
     iters = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
     history: list = []
@@ -243,20 +209,22 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
                      np.array([q ** -3, -c / q ** 3, c / q ** 2]))
 
     if problem.d == 1:
-        # A scalar state is a Python float; f still receives x as a fresh
-        # array of shape (1,), and its value is read back as one float.
+        # A scalar state is a Python float, and the states and increments
+        # are read as 1-D views; f still receives x as a fresh array of
+        # shape (1,), and its value is read back as one float.
         def rhs(t, x):
             v = f(t, np.array([x]))
             return v if type(v) is float else np.asarray(v, dtype=float).item()
 
         norm, inner, state, components = abs, operator.mul, float, _single
-        path = states[:, 0]
+        path, dx = states[:, 0], dx[:, 0]
     else:
         def rhs(t, x):
             return np.asarray(f(t, x), dtype=float)
 
-        norm, inner, state, components = _norm, operator.matmul, _same, np.ndarray.tolist
+        norm, inner, state, components = _norm, operator.matmul, np.asarray, np.ndarray.tolist
         path = states
+    prev, last = state(path[0]), dx[0]
 
     def attempt(n, t_n, base, gain, x, increments, start, patience):
         """Update from x until converged; return (g(x), None) or (None, failure).
@@ -293,7 +261,13 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
         return None, (f"fixed-point iteration at step n={n} (t={t_n:.6g}) did not "
                       f"converge within {max_iters} updates from the {start} start")
 
-    def fixed_point(n, t_n, base, gain, prev, last):
+    for n in range(1, N + 1):
+        # x^n = g(x^n) = base + gain f(t_n, x^n), base = x^{n-1} - hist_n / lead_n
+        k = N - n
+        weights[k] = first[n]
+        base = prev - state(weights[k:N - 1] @ dx[1:n])
+        weights[k] = kept[k]
+        t_n, gain = nodes[n], gains[n]
         increments: list = []
         history.append(increments)
         moved = components(last)
@@ -316,41 +290,32 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
                 raise FixedPointError(failure + after, step=n, trace=trace)
         iters[n - 1] = max(len(increments) - 1, 1)
         residuals[n - 1] = increments[-1]
-        return x
-
-    _march(mesh, alpha, states, fixed_point)
+        path[n] = x
+        last = x - prev
+        dx[n] = last
+        prev = x
     return trace
 
 
 def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
                          scale: QScale) -> SolveTrace:
-    """Explicit forward recurrence when f^1 .. f^N are given data.
+    """:func:`solve_ivp` when f^1 .. f^N are given data: f(t_n, x) = f^n.
 
-    One exact pass per step; no inner iteration.  Raises ValueError,
-    naming the first bad sample, if x0 or any forcing sample is not
-    finite.
+    f does not depend on x, so the first update of each step is its
+    solution, and a second at most confirms it.  Raises ValueError,
+    naming the first bad sample, if any forcing sample is not finite.
     """
     fsamples = np.atleast_1d(np.asarray(fsamples, dtype=float))
     if fsamples.ndim == 1:
         fsamples = fsamples[:, None]
     N = fsamples.shape[0]
-    x0 = _initial_value(x0)
     bad = ~np.all(np.isfinite(fsamples), axis=1)
     if bad.any():
         n = int(np.argmax(bad)) + 1
         raise ValueError(f"forcing sample f^{n} is not finite: {fsamples[n - 1]}")
-    mesh = build_mesh(scale, N)
-
-    states = np.zeros((N + 1, x0.shape[0]))
-    states[0] = x0
-    # a scalar march carries floats (see _march)
-    forcing = (fsamples[:, 0].tolist() if states.shape[1] == fsamples.shape[1] == 1
-               else fsamples)
-    _march(mesh, alpha, states,
-           lambda n, t_n, base, gain, prev, last: base + gain * forcing[n - 1])
-    return SolveTrace(mesh=mesh, states=states,
-                      fp_iterations=np.ones(N, dtype=int),
-                      residuals=np.zeros(N))
+    # solve_ivp passes f exactly these floats, which build_mesh keeps distinct
+    forcing = dict(zip(build_mesh(scale, N).nodes[1:].tolist(), fsamples))
+    return solve_ivp(IVProblem(f=lambda t, x: forcing[t], alpha=alpha, x0=x0), scale, N)
 
 
 def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,

@@ -43,6 +43,21 @@ def test_parse_rational():
     assert parse_rational("0.5") == 0.5
     with pytest.raises(ValueError):
         parse_rational("x/y")
+    # Fraction raises ZeroDivisionError and float OverflowError, which
+    # argparse would not turn into a usage error
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+    with pytest.raises(ValueError):
+        parse_rational("1" + "0" * 400 + "/3")
+
+
+@pytest.mark.parametrize("argv", [["--q", "1/0"], ["--q", "1/4", "--alpha", "1/0"]])
+def test_main_zero_denominator_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", "example1", "--N", "10"] + argv)
+    assert info.value.code == EXIT_ARGS
+    err = capsys.readouterr().err
+    assert "invalid parse_rational value: '1/0'" in err and "Traceback" not in err
 
 
 def test_run_solve_constant_rows():
@@ -306,6 +321,24 @@ def test_converge_refuses_a_delta_that_leaves_an_N_no_node(monkeypatch, capsys):
                  "--N-list", "1,4", "--delta", "0.5"]) == EXIT_ARGS
     assert "leaves N=1 no node" in capsys.readouterr().err
     assert calls == []
+
+
+def test_converge_refuses_a_repeated_N(monkeypatch, capsys):
+    # a fit through repeated N is rank-deficient: polyfit returned a
+    # least-norm slope, 0.295361 here, and the study exited 0
+    calls = []
+    solve = cli.solve_ivp
+    monkeypatch.setattr(cli, "solve_ivp", lambda *args: calls.append(args) or solve(*args))
+    with pytest.raises(ValueError, match=r"^N=10 is repeated in the N list$"):
+        _study("example2", 2.0 / 3.0, 2.0 / 3.0, [10, 20, 10], delta=0.5)
+    assert main(["converge", "--problem", "example2", "--q", "2/3",
+                 "--N-list", "10,10", "--delta", "0.5"]) == EXIT_ARGS
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: N=10 is repeated in the N list\n"
+    assert calls == []
+    # distinct N in any order still fit
+    summary = _study("example2", 2.0 / 3.0, 2.0 / 3.0, [20, 10], delta=0.5)
+    assert summary["fitted_decay"] is not None
 
 
 def test_converge_fits_no_decay_through_a_zero_error(capsys):

@@ -145,6 +145,27 @@ def test_solve_linear_history_validation():
             solve_linear_history([1.0, 2.0, 3.0], [0.0, bad], 0.5, scale)
 
 
+def test_solve_linear_history_reports_its_steps():
+    # f^n does not depend on x, so each step solves on its first update,
+    # and a second update at most confirms it
+    rng = np.random.default_rng(5)
+    for q, N, d in [(0.25, 12, 1), (2.0 / 3.0, 40, 1), (0.9, 200, 2)]:
+        fs = rng.normal(size=(N, d))
+        trace = solve_linear_history(fs, rng.normal(size=d), 0.5, QScale(q, 1.0))
+        assert np.all(trace.fp_iterations == 1)
+        assert len(trace.fp_increment_history) == N
+        assert all(len(incs) in (1, 2) for incs in trace.fp_increment_history)
+        caps = solver.FP_TOL * (1.0 + np.max(np.abs(trace.states[1:]), axis=1))
+        assert np.all(trace.residuals <= caps)
+
+
+def test_solve_linear_history_overflow_fails_by_name():
+    # finite data whose first state overflows: a named failure, not the
+    # states [1.7e308, inf, nan, nan, nan]
+    with pytest.raises(FixedPointError, match="non-finite value at step n=1"):
+        solve_linear_history([1.7e308] * 4, 1.7e308, 0.5, QScale(0.5))
+
+
 @pytest.mark.parametrize("q", [0.25, 0.9])
 @pytest.mark.parametrize("N", [1, 2, 300])
 def test_solve_linear_history_matches_plain_increment_form(q, N):
