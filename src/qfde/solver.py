@@ -61,10 +61,9 @@ going STALL_UPDATES updates in a row without a new least residual (it
 cycles), meeting a non-finite value or an ArithmeticError or ValueError
 raised by f (a prediction may leave f's domain), is solved once more
 from the nudged start, which has the whole MAX_FP_ITERS budget, before
-:class:`FixedPointError` is raised; its fp_iterations and
-fp_increment_history then count the updates of both attempts.  A
-non-finite value stops an attempt at once, so a right-hand side that is
-non-finite at t_n costs one call per start.
+:class:`FixedPointError` is raised; its fp_iterations then counts the
+updates of both attempts.  A non-finite value ends an attempt at once:
+a right-hand side non-finite at t_n costs one call per start.
 
 f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
@@ -138,12 +137,11 @@ class SolveTrace:
     fp_iterations: np.ndarray     # per-step fixed-point updates (confirming update excluded;
                                   # both attempts when the step falls back to the nudged start)
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
-    fp_increment_history: list    # per-step list of every update's increment
 
 
 def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
     """L_1 = L Gamma_q(1-alpha) b^alpha, Gamma_q the kept table's; contracts iff < 1."""
-    if L < 0.0:
+    if not L >= 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
     return L * _table(scale.q, alpha, 1).gamma * scale.b ** alpha
 
@@ -184,7 +182,6 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     # weights[N-1-m] = G(m)/G(0), so hist_n / lead_n = weights[N-n:N-1] @ dx[1:n]
     # once slot N-n, which holds G(n-1)/G(0), holds S(n)/G(0) instead.
     weights = G[::-1] / G[0]
-    kept = weights.tolist()
     first = (S / G[0]).tolist()
 
     states = np.zeros((N + 1, problem.d))
@@ -192,9 +189,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     dx = np.zeros_like(states)
     iters = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
-    history: list = []
-    trace = SolveTrace(mesh=mesh, states=states, fp_iterations=iters,
-                       residuals=residuals, fp_increment_history=history)
+    trace = SolveTrace(mesh=mesh, states=states, fp_iterations=iters, residuals=residuals)
 
     f, fp_tol, max_iters, pert = problem.f, FP_TOL, MAX_FP_ITERS, START_PERTURBATION
     q = scale.q
@@ -264,12 +259,11 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     for n in range(1, N + 1):
         # x^n = g(x^n) = base + gain f(t_n, x^n), base = x^{n-1} - hist_n / lead_n
         k = N - n
-        weights[k] = first[n]
+        slot, weights[k] = weights[k], first[n]
         base = prev - state(weights[k:N - 1] @ dx[1:n])
-        weights[k] = kept[k]
+        weights[k] = slot
         t_n, gain = nodes[n], gains[n]
         increments: list = []
-        history.append(increments)
         moved = components(last)
         x, after = None, ""
         if any(moved):
@@ -302,20 +296,24 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
     """:func:`solve_ivp` when f^1 .. f^N are given data: f(t_n, x) = f^n.
 
     f does not depend on x, so the first update of each step is its
-    solution, and a second at most confirms it.  Raises ValueError,
-    naming the first bad sample, if any forcing sample is not finite.
+    solution, and a second at most confirms it.  Raises ValueError if the
+    samples' width is neither len(x0) nor 1, or, naming the first bad
+    sample, if any forcing sample is not finite.
     """
     fsamples = np.atleast_1d(np.asarray(fsamples, dtype=float))
     if fsamples.ndim == 1:
         fsamples = fsamples[:, None]
-    N = fsamples.shape[0]
+    problem = IVProblem(f=lambda t, x: forcing[t], alpha=alpha, x0=x0)
+    if fsamples.ndim != 2 or fsamples.shape[1] not in (1, problem.d):
+        raise ValueError(f"forcing samples of shape {fsamples.shape} fit neither "
+                         f"x0 of shape {problem.x0.shape} nor width 1")
     bad = ~np.all(np.isfinite(fsamples), axis=1)
     if bad.any():
         n = int(np.argmax(bad)) + 1
         raise ValueError(f"forcing sample f^{n} is not finite: {fsamples[n - 1]}")
     # solve_ivp passes f exactly these floats, which build_mesh keeps distinct
-    forcing = dict(zip(build_mesh(scale, N).nodes[1:].tolist(), fsamples))
-    return solve_ivp(IVProblem(f=lambda t, x: forcing[t], alpha=alpha, x0=x0), scale, N)
+    forcing = dict(zip(build_mesh(scale, len(fsamples)).nodes[1:].tolist(), fsamples))
+    return solve_ivp(problem, scale, len(fsamples))
 
 
 def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
@@ -323,9 +321,11 @@ def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
     """A-priori bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) t_n^alpha fmax], kept Gamma_q."""
     if not 0.0 <= L1 < 1.0:
         raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
-    if fmax < 0.0:
+    if not fmax >= 0.0:
         raise ValueError(f"fmax must be >= 0, got {fmax}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial value x0 must be finite, got {x0}")
     return (_norm(x0) + _table(q, alpha, 1).gamma * t_n ** alpha * fmax) / (1.0 - L1)
 
 

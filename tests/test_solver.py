@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +41,8 @@ def test_contraction_constant():
         1.5720327257863239, rel=1e-12)  # Gamma_q(1/2) at q=1/2, frozen oracle
     with pytest.raises(ValueError):
         contraction_constant(-1.0, 0.5, scale)
+    with pytest.raises(ValueError, match="Lipschitz constant must be >= 0"):
+        contraction_constant(math.nan, 0.5, scale)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
@@ -90,18 +93,33 @@ def test_unconditional_stability_randomized():
             assert abs(trace.states[n, 0]) <= cap * (1.0 + 1e-12)
 
 
+def _recording(f):
+    """f, and a dict from each t to the first component of every x f received there."""
+    calls: dict = {}
+
+    def recording_f(t, x):
+        calls.setdefault(t, []).append(float(x[0]))
+        return f(t, x)
+
+    return recording_f, calls
+
+
 def test_fixed_point_increments_contract():
-    # f Lipschitz in x with L1 < 1: consecutive increments shrink by L1
+    # f Lipschitz in x with L1 < 1: each update moves the iterate L1 times
+    # closer to x^n.  An update calls f once at t_n, so the x values f
+    # receives there are the step's iterates; for this affine f the
+    # increment |g(x) - x| = |1 - s| |x - x^n| is their distance to x^n
     L = 0.4
-    problem = IVProblem(f=lambda t, x: L * x + t, alpha=0.5,
-                        x0=np.array([1.0]), lipschitz_L=L)
+    f, calls = _recording(lambda t, x: L * x + t)
+    problem = IVProblem(f=f, alpha=0.5, x0=np.array([1.0]), lipschitz_L=L)
     scale = QScale(0.5, 1.0)
     trace = solve_ivp(problem, scale, 8)
     L1 = contraction_constant(L, 0.5, scale)
     assert L1 == pytest.approx(L * q_gamma(0.5, 0.5), rel=1e-12)
     assert 0.0 < L1 < 1.0
-    for incs in trace.fp_increment_history:
-        for prev, nxt in zip(incs, incs[1:]):
+    for t_n, x_n in zip(trace.mesh.nodes[1:].tolist(), trace.states[1:, 0].tolist()):
+        errors = [abs(x - x_n) for x in calls[t_n]]
+        for prev, nxt in zip(errors, errors[1:]):
             assert nxt <= L1 * prev + 1e-14
 
 
@@ -153,10 +171,22 @@ def test_solve_linear_history_reports_its_steps():
         fs = rng.normal(size=(N, d))
         trace = solve_linear_history(fs, rng.normal(size=d), 0.5, QScale(q, 1.0))
         assert np.all(trace.fp_iterations == 1)
-        assert len(trace.fp_increment_history) == N
-        assert all(len(incs) in (1, 2) for incs in trace.fp_increment_history)
         caps = solver.FP_TOL * (1.0 + np.max(np.abs(trace.states[1:]), axis=1))
         assert np.all(trace.residuals <= caps)
+
+
+def test_solve_linear_history_refuses_a_width_that_fits_neither():
+    # two columns fit neither a scalar x0 nor one of three components, and
+    # a sample is one row; one column is one value over every component
+    scale = QScale(0.5, 1.0)
+    for fs, x0, shapes in ((np.ones((4, 2)), 0.0, r"\(4, 2\) .* \(1,\)"),
+                           (np.ones((4, 2)), np.zeros(3), r"\(4, 2\) .* \(3,\)"),
+                           (np.ones((4, 1, 3)), np.zeros(3), r"\(4, 1, 3\) .* \(3,\)")):
+        with pytest.raises(ValueError, match=rf"forcing samples of shape {shapes} nor"):
+            solve_linear_history(fs, x0, 0.5, scale)
+    wide = solve_linear_history(np.ones((4, 1)), np.zeros(3), 0.5, scale).states
+    assert np.array_equal(wide, solve_linear_history(np.ones((4, 3)), np.zeros(3), 0.5,
+                                                     scale).states)
 
 
 def test_solve_linear_history_overflow_fails_by_name():
@@ -251,6 +281,11 @@ def test_stability_bound_values():
         2.0 * (2.0 + q_gamma(0.5, 0.5) * 3.0), rel=1e-13)
     with pytest.raises(ValueError):
         stability_bound(np.zeros(1), 1.0, 1.0, 0.5, 0.5, 1.0)
+    with pytest.raises(ValueError, match="fmax must be >= 0"):
+        stability_bound(np.zeros(1), math.nan, 1.0, 0.5, 0.5, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            stability_bound(np.array([0.0, bad]), 1.0, 1.0, 0.5, 0.5, 0.0)
 
 
 def test_stability_bound_dominates_example1_run():
@@ -549,27 +584,46 @@ def test_example2_large_N_keeps_nontrivial_branch():
 
 def test_fallback_start_solves_where_the_prediction_fails():
     # L1 = 1.96: from the extrapolated start the last step cycles; it gives
-    # way after STALL_UPDATES updates without a new least residual, the
-    # re-solve from the nudged previous state converges, and fp_iterations
-    # counts the updates of both attempts.
+    # way after at least STALL_UPDATES updates, the re-solve from the
+    # nudged previous state converges, and fp_iterations counts the updates
+    # of both attempts.  Each update calls f once at t_N, so the nudged
+    # start is found among the x values f receives there.
     # mp_l1q_march cannot serve as the oracle: its plain Picard iteration
     # stalls at n = 40, so every step's equation is checked instead.
     q, alpha, L, N = 0.125, 0.5, 1.5, 40
-    problem = IVProblem(f=lambda t, x: L * np.sin(x) + t, alpha=alpha,
-                        x0=np.array([1.0]), lipschitz_L=L)
+    f, calls = _recording(lambda t, x: L * np.sin(x) + t)
+    problem = IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=L)
     trace = solve_ivp(problem, QScale(q, 1.0), N)
     assert contraction_constant(L, alpha, QScale(q, 1.0)) == pytest.approx(1.96, abs=5e-3)
-    increments = trace.fp_increment_history[-1]
-    least = np.minimum.accumulate(increments)
-    stop = next(k for k in range(STALL_UPDATES, len(increments))
-                if least[k] == least[k - STALL_UPDATES])
-    assert increments[stop] > 1.0                       # predicted attempt cycling
-    assert 0 < len(increments) - 1 - stop < 20          # nudged attempt converged
-    assert increments[-1] <= solver.FP_TOL * 10.0
-    assert trace.fp_iterations[-1] == len(increments) - 1 < solver.MAX_FP_ITERS // 5
+    last = calls[trace.mesh.nodes[N].item()]
+    pert = solver.START_PERTURBATION
+    start = last.index(trace.states[N - 1, 0].item() * (1.0 + pert) + pert)
+    assert start >= STALL_UPDATES                       # predicted attempt first
+    assert len(last) - 1 - start < 20                   # nudged attempt converged
+    assert trace.residuals[-1] <= solver.FP_TOL * 10.0
+    assert trace.fp_iterations[-1] == len(last) - 1 < solver.MAX_FP_ITERS // 5
     residuals = mp_l1q_residuals(q, alpha, lambda t, x: L * mp.sin(x) + t,
                                  trace.states[:, 0])
     assert max(residuals) <= 1e-12
+
+
+def test_a_solve_keeps_per_step_records():
+    # the returned trace holds the nodes, the steps, the states and one
+    # update count and one residual per step, about 5 x states.nbytes here;
+    # a list of every update's increment per step held about 23 x.  The
+    # solve runs once untraced first, so that the weight table it reads
+    # is already kept
+    q, N = 0.99, 10_000
+    problem = make_problem("manufactured-quadratic", q=q)
+    solve_ivp(problem, QScale(q, 1.0), N)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = solve_ivp(problem, QScale(q, 1.0), N)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 6 * trace.states.nbytes
 
 
 def test_damped_vector_solve_about_one_update_per_step():
