@@ -8,9 +8,10 @@ Subcommands
 ``main`` resolves the problem and the scale once, and each run takes what
 ``solve_ivp`` takes: ``run_solve(problem, scale, N) -> (rows, failure)``,
 ``run_convergence(problem, scale, N_list, delta)`` and
-``run_bounds(problem, scale, N, m2=None)``.  Each compares component 0 of
-the solve with the problem's exact solution (every registry problem has
-one), node by node; rows are (t, x_num, x_exact, abs_err, fp_iters).
+``run_bounds(problem, scale, N, m2=None)``, which hands the problem and
+its mesh to the bounds of :mod:`qfde.solver`.  Each compares component 0
+of the solve with the problem's exact solution (every registry problem
+has one), node by node; rows are (t, x_num, x_exact, abs_err, fp_iters).
 
 Exit codes: 0 success, 1 numerical failure (solver non-convergence and
 every other :class:`~qfde.errors.QCalculusError`), 2 bound violation,
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import solver
 from .errors import FixedPointError, QCalculusError
-from .l1q import build_mesh
+from .l1q import QMesh, build_mesh
 from .problems import make_problem, problem_names
 from .qcore import QScale, q_derivative_n
 from .solver import (
@@ -71,10 +72,9 @@ def run_solve(problem: IVProblem, scale: QScale, N: int):
     except FixedPointError as err:
         trace, failure = err.trace, err
     exact, abs_err = _exact_and_error(trace, problem)
-    solved = exact.shape[0]
-    rows = list(zip(trace.mesh.nodes[1:solved + 1].tolist(),
+    rows = list(zip(trace.mesh.nodes[1:].tolist(),
                     trace.states[1:, 0].tolist(), exact.tolist(), abs_err.tolist(),
-                    trace.fp_iterations[:solved].tolist()))
+                    trace.fp_iterations.tolist()))
     return rows, failure
 
 
@@ -184,13 +184,10 @@ def emit_convergence(summary, stream) -> None:
 # ---------------------------------------------------------------------------
 # bound checks
 
-def estimate_m2(problem: IVProblem, mesh_nodes: np.ndarray, q: float) -> float:
+def estimate_m2(problem: IVProblem, mesh: QMesh) -> float:
     """Max of |D_q^2 exact| sampled over the positive mesh nodes."""
-    worst = 0.0
-    for t in mesh_nodes[1:]:
-        d2 = q_derivative_n(problem.exact, float(t), q, 2)
-        worst = max(worst, float(np.max(np.abs(d2))))
-    return worst
+    d2 = (q_derivative_n(problem.exact, float(t), mesh.scale.q, 2) for t in mesh.nodes[1:])
+    return max(0.0, *(float(np.max(np.abs(v))) for v in d2))
 
 
 def run_bounds(problem: IVProblem, scale: QScale, N: int, m2: Optional[float] = None):
@@ -200,24 +197,21 @@ def run_bounds(problem: IVProblem, scale: QScale, N: int, m2: Optional[float] = 
     or the stability bound is violated.  Errors at float-noise level
     (1e-12 absolute) pass regardless of the bound, so exactly-reproduced
     solutions do not trip on a zero bound.  A problem without a Lipschitz
-    constant, a bad m2 or an L1 >= 1 raises ValueError before the solve.
+    constant, an L1 >= 1, a NaN, negative or infinite m2, or an m2
+    estimate at a node whose t^2 underflows raises ValueError before the
+    solve.
     """
-    if problem.lipschitz_L is None:
-        raise ValueError("the problem has no Lipschitz constant; the bounds need one")
+    L1 = contraction_constant(problem, scale)
     mesh = build_mesh(scale, N)
     if m2 is None:
-        m2 = estimate_m2(problem, mesh.nodes, scale.q)
-    L1 = contraction_constant(problem.lipschitz_L, problem.alpha, scale)
-    bound = error_bound(mesh, problem.alpha, m2, L1)
+        m2 = estimate_m2(problem, mesh)
+    bound = error_bound(problem, mesh, m2)
+    sbound = stability_bound(problem, mesh)
     trace = solve_ivp(problem, scale, N)
     _, abs_err = _exact_and_error(trace, problem)
 
     ratios = np.array([e / b if b else (math.inf if e else 0.0) for e, b in
                        zip(abs_err.tolist(), bound.tolist())])
-    fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
-               for t in mesh.nodes[1:])
-    sbound = stability_bound(problem.x0, fmax, float(mesh.nodes[-1]),
-                             problem.alpha, scale.q, L1)
     observed_max = float(np.max(np.abs(trace.states)))
     stab_ok = observed_max <= sbound * (1.0 + 1e-12)
     report = {"nodes": mesh.nodes[1:], "abs_err": abs_err, "bound": bound,

@@ -234,6 +234,8 @@ def l1q_apply(samples: np.ndarray, mesh: QMesh, alpha: float):
 def _check_m2(m2: float) -> None:
     if not m2 >= 0.0:
         raise ValueError(f"m2 must not be NaN or negative, got {m2}")
+    if m2 == math.inf:
+        raise ValueError(f"m2 must be finite, got {m2}")
 
 
 def truncation_bound(mesh: QMesh, n: int, alpha: float, m2: float) -> float:

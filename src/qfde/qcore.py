@@ -288,9 +288,9 @@ def _iterated_coefficients(n: int, q: float) -> np.ndarray:
 def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     """n-fold q-derivative.
 
-    For t > 0 this is the exact finite combination of f at q^j t,
-    j = 0..n (never nested limits); at t = 0 it falls back to the limit
-    of the (n-1)-fold derivative along the lattice.
+    For t > 0 the exact combination of f at q^j t, j = 0..n, over t^n,
+    refused where t^n underflows to 0.  At t = 0 only n = 1, the lattice
+    limit of :func:`q_derivative`; n >= 2 would nest two limits.
     """
     _check_q(q)
     if n < 1:
@@ -300,8 +300,9 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     if t == 0.0:
         if n == 1:
             return q_derivative(f, 0.0, q)
-        inner = lambda u: q_derivative_n(f, u, q, n - 1)
-        return q_derivative(inner, 0.0, q)
+        raise ValueError(f"q-derivative of order n={n} >= 2 is not taken at t=0")
+    if t ** n == 0.0:
+        raise ValueError(f"q-derivative of order n={n} at t={t!r}: t^{n} underflows to 0")
     coeff = _iterated_coefficients(n, q)
     total = None
     point = float(t)

@@ -69,7 +69,8 @@ f(t, x) may return a Python float, a list, a 0-d value broadcast over
 the d components, or an array of shape (d,).
 Each input is checked once, where it enters: q and b by QScale, N by
 build_mesh (N = len(fsamples) for :func:`solve_linear_history`, which
-also checks its samples), alpha and x0 by :class:`IVProblem`.
+also checks its samples), alpha, x0 and L by :class:`IVProblem`.  The
+a-priori bounds take that problem with its scale or mesh, and refuse L1 >= 1.
 
 Norms are max-norms throughout.  A single solve is sequential in n;
 distinct solves share only read-only weight tables, and may run
@@ -130,7 +131,7 @@ class IVProblem:
 
 @dataclass
 class SolveTrace:
-    """Per-step record of a solve."""
+    """Per-step record of a solve, up to the last step solved if it failed."""
 
     mesh: QMesh
     states: np.ndarray            # shape (N+1, d); states[0] = x0 exactly
@@ -139,11 +140,19 @@ class SolveTrace:
     residuals: np.ndarray         # per-step final fixed-point increment (max-norm)
 
 
-def contraction_constant(L: float, alpha: float, scale: QScale) -> float:
+def contraction_constant(problem: IVProblem, scale: QScale) -> float:
     """L_1 = L Gamma_q(1-alpha) b^alpha, Gamma_q the kept table's; contracts iff < 1."""
-    if not L >= 0.0:
-        raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
-    return L * _table(scale.q, alpha, 1).gamma * scale.b ** alpha
+    if (L := problem.lipschitz_L) is None:
+        raise ValueError("the problem has no Lipschitz constant; the bounds need one")
+    return L * _table(scale.q, problem.alpha, 1).gamma * scale.b ** problem.alpha
+
+
+def _contracting(problem: IVProblem, scale: QScale) -> float:
+    """The contraction constant L1, refused unless < 1, as both bounds need."""
+    L1 = contraction_constant(problem, scale)
+    if not L1 < 1.0:
+        raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
+    return L1
 
 
 def _norm(v: np.ndarray) -> float:
@@ -189,7 +198,6 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
     dx = np.zeros_like(states)
     iters = np.zeros(N, dtype=int)
     residuals = np.zeros(N)
-    trace = SolveTrace(mesh=mesh, states=states, fp_iterations=iters, residuals=residuals)
 
     f, fp_tol, max_iters, pert = problem.f, FP_TOL, MAX_FP_ITERS, START_PERTURBATION
     q = scale.q
@@ -280,7 +288,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
             x, failure = attempt(n, t_n, base, gain, prev * (1.0 + pert) + pert,
                                  increments, "nudged", max_iters + 1)
             if x is None:
-                trace.states = states[:n]
+                trace = SolveTrace(mesh, states[:n], iters[:n - 1], residuals[:n - 1])
                 raise FixedPointError(failure + after, step=n, trace=trace)
         iters[n - 1] = max(len(increments) - 1, 1)
         residuals[n - 1] = increments[-1]
@@ -288,7 +296,7 @@ def solve_ivp(problem: IVProblem, scale: QScale, N: int) -> SolveTrace:
         last = x - prev
         dx[n] = last
         prev = x
-    return trace
+    return SolveTrace(mesh=mesh, states=states, fp_iterations=iters, residuals=residuals)
 
 
 def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
@@ -316,31 +324,25 @@ def solve_linear_history(fsamples: np.ndarray, x0: np.ndarray, alpha: float,
     return solve_ivp(problem, scale, len(fsamples))
 
 
-def stability_bound(x0: np.ndarray, fmax: float, t_n: float, alpha: float,
-                    q: float, L1: float) -> float:
-    """A-priori bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) t_n^alpha fmax], kept Gamma_q."""
-    if not 0.0 <= L1 < 1.0:
-        raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
+def stability_bound(problem: IVProblem, mesh: QMesh) -> float:
+    """A-priori bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) b^alpha fmax] on max_n |x^n|,
+    fmax = max_n |f(t_n, 0)| over t_1 .. t_N; kept Gamma_q."""
+    L1 = _contracting(problem, mesh.scale)
+    fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
+               for t in mesh.nodes[1:])
     if not fmax >= 0.0:
         raise ValueError(f"fmax must be >= 0, got {fmax}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial value x0 must be finite, got {x0}")
-    return (_norm(x0) + _table(q, alpha, 1).gamma * t_n ** alpha * fmax) / (1.0 - L1)
+    q, b, alpha = mesh.scale.q, mesh.scale.b, problem.alpha
+    return (_norm(problem.x0) + _table(q, alpha, 1).gamma * b ** alpha * fmax) / (1.0 - L1)
 
 
-def error_bound(mesh: QMesh, alpha: float, m2: float, L1: float = 0.0) -> np.ndarray:
-    """A-priori bound on the max-norm error |x(t_n) - x^n| at nodes n = 1 .. N,
-
-        m2 dt_n^2 / (4 (1 - L1) (1 - q^2) (q^alpha - q)),
-
-    where m2 bounds |D_q^2 x| and L1 is the contraction constant.
-    """
+def error_bound(problem: IVProblem, mesh: QMesh, m2: float) -> np.ndarray:
+    """A-priori bound m2 dt_n^2 / (4 (1 - L1) (1 - q^2) (q^alpha - q)) on the max-norm
+    error |x(t_n) - x^n| at nodes n = 1 .. N, where m2 bounds |D_q^2 x|."""
     _check_m2(m2)
-    if not 0.0 <= L1 < 1.0:
-        raise ValueError(f"contraction constant must be in [0, 1), got {L1}")
+    L1 = _contracting(problem, mesh.scale)
     q = mesh.scale.q
-    return m2 * mesh.steps ** 2 / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** alpha - q))
+    return m2 * mesh.steps ** 2 / (4.0 * (1.0 - L1) * (1.0 - q * q) * (q ** problem.alpha - q))
 
 
 def rate_constants(abs_err: np.ndarray, q: float) -> np.ndarray:

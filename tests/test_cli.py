@@ -176,6 +176,7 @@ def test_main_invalid_arguments(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["bounds", "--m2", "nan"], "m2 must not be NaN", id="m2-nan"),
+    pytest.param(["bounds", "--m2", "inf"], "m2 must be finite", id="m2-inf"),
     pytest.param(["solve", "--b", "inf"], "horizon b must be positive and finite",
                  id="b-inf"),
 ])
@@ -422,6 +423,25 @@ def test_bounds_refuse_a_problem_without_a_lipschitz_constant(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--problem", "example1", "--q", "1/4", "--N", "10", "--m2", "inf"],
+                 "m2 must be finite, got inf", id="m2-inf"),
+    # t_1 = 4^-299, whose square underflows to 0 in the m2 estimate
+    pytest.param(["--problem", "manufactured-quadratic", "--q", "1/4", "--N", "300"],
+                 "t^2 underflows to 0", id="m2-estimate-underflow"),
+])
+def test_bounds_refuse_a_non_finite_m2_in_a_fresh_process(argv, message):
+    # each once ran to "ok": inf bounds, or inf x 0 = NaN bounds after a
+    # division by 0 that is a traceback under -W error
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "qfde.cli", "bounds",
+                           *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_ARGS
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert message in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("m2, calls", [(None, 3 * 12 + 1), (2.0, 1)])

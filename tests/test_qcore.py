@@ -332,14 +332,23 @@ def test_q_derivative_at_zero_fails_once_the_probe_cannot_settle():
 
 
 def test_q_derivative_n_at_zero():
-    # second derivative of t^2 is (1+q) everywhere, including the origin
-    assert q_derivative_n(lambda t: t * t, 0.0, 0.5, 2) == pytest.approx(
-        1.5, rel=1e-13)
-    # the nested limit of s^3 + s^2 does not settle: the outer probe
-    # quotient overflows, which ends the probe by name, not in numpy's
-    # overflow RuntimeWarning (an error under this suite's filter)
-    with pytest.raises(NonConvergenceError, match="did not settle"):
-        q_derivative_n(lambda s: s ** 3 + s * s, 0.0, 0.5, 2)
+    # n = 1 at the origin is the lattice limit of q_derivative
+    assert q_derivative_n(lambda t: t * t + t, 0.0, 0.5, 1) == pytest.approx(
+        1.0, rel=1e-13)
+    # n >= 2 would nest two limits, and that of s^3 + s^2 (exact value
+    # 1 + q) never settles; it is refused by name before f is called
+    calls = []
+    with pytest.raises(ValueError, match="order n=2 >= 2 is not taken at t=0"):
+        q_derivative_n(lambda s: calls.append(s) or s ** 3 + s * s, 0.0, 0.5, 2)
+    assert calls == []
+
+
+def test_q_derivative_n_refuses_a_t_whose_power_underflows():
+    # t^2 = 1e-340 underflows to 0: the closed form would divide by it
+    calls = []
+    with pytest.raises(ValueError, match=r"t\^2 underflows to 0"):
+        q_derivative_n(lambda s: calls.append(s) or s * s, 1e-170, 0.25, 2)
+    assert calls == []
 
 
 def test_limit_and_series_non_convergence(monkeypatch):

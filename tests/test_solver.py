@@ -34,15 +34,25 @@ from qfde.solver import STALL_UPDATES, rate_constants
 from oracles import mp_l1q_march, mp_l1q_residuals
 
 
+def _lipschitz(L, alpha=0.5, x0=0.0, f0=0.0):
+    """A scalar problem f(t, x) = f0 + L sin x with Lipschitz constant L."""
+    return IVProblem(f=lambda t, x: f0 + L * np.sin(x), alpha=alpha,
+                     x0=np.array([x0]), lipschitz_L=L)
+
+
 def test_contraction_constant():
     scale = QScale(0.5, 1.0)
-    assert contraction_constant(0.0, 0.5, scale) == 0.0
-    assert contraction_constant(1.0, 0.5, scale) == pytest.approx(
+    assert contraction_constant(_lipschitz(0.0), scale) == 0.0
+    assert contraction_constant(_lipschitz(1.0), scale) == pytest.approx(
         1.5720327257863239, rel=1e-12)  # Gamma_q(1/2) at q=1/2, frozen oracle
+    # L is checked where it enters, by IVProblem
     with pytest.raises(ValueError):
-        contraction_constant(-1.0, 0.5, scale)
+        _lipschitz(-1.0)
     with pytest.raises(ValueError, match="Lipschitz constant must be >= 0"):
-        contraction_constant(math.nan, 0.5, scale)
+        _lipschitz(math.nan)
+    with pytest.raises(ValueError, match="^the problem has no Lipschitz constant; "
+                                         "the bounds need one$"):
+        contraction_constant(make_problem("example2", q=0.5), scale)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
@@ -53,9 +63,9 @@ def test_bounds_read_gamma_off_the_solve_table(alpha):
     # moved the last bit
     q = 0.9
     gamma = l1q._table(q, alpha, 1).gamma
-    assert contraction_constant(1.0, alpha, QScale(q, 1.0)) == gamma
-    assert stability_bound(np.zeros(1), 1.0, 1.0, alpha, q, 0.0) == gamma
+    assert contraction_constant(_lipschitz(1.0, alpha), QScale(q, 1.0)) == gamma
     mesh = build_mesh(QScale(q, 1.0), 1)   # t_1 = dt_1 = 1
+    assert stability_bound(_lipschitz(0.0, alpha, f0=1.0), mesh) == gamma
     assert truncation_bound(mesh, 1, alpha, m2=1.0) == (
         1.0 / (4.0 * gamma * (1.0 - q * q) * (q ** alpha - q)))
 
@@ -114,7 +124,7 @@ def test_fixed_point_increments_contract():
     problem = IVProblem(f=f, alpha=0.5, x0=np.array([1.0]), lipschitz_L=L)
     scale = QScale(0.5, 1.0)
     trace = solve_ivp(problem, scale, 8)
-    L1 = contraction_constant(L, 0.5, scale)
+    L1 = contraction_constant(problem, scale)
     assert L1 == pytest.approx(L * q_gamma(0.5, 0.5), rel=1e-12)
     assert 0.0 < L1 < 1.0
     for t_n, x_n in zip(trace.mesh.nodes[1:].tolist(), trace.states[1:, 0].tolist()):
@@ -273,28 +283,32 @@ def test_scalar_solve_matches_stacked_vector_solve(name, q, N):
 
 
 def test_stability_bound_values():
-    assert stability_bound(np.zeros(1), 0.0, 1.0, 0.5, 0.5, 0.0) == 0.0
+    mesh = build_mesh(QScale(0.5, 1.0), 4)
+    gamma = q_gamma(0.5, 0.5)
+    assert stability_bound(_lipschitz(0.0), mesh) == 0.0
     # L1 = 0 reduces to the linear-case estimate
-    got = stability_bound(np.array([2.0]), 3.0, 1.0, 0.5, 0.5, 0.0)
-    assert got == pytest.approx(2.0 + q_gamma(0.5, 0.5) * 3.0, rel=1e-13)
-    assert stability_bound(np.array([2.0]), 3.0, 1.0, 0.5, 0.5, 0.5) == pytest.approx(
-        2.0 * (2.0 + q_gamma(0.5, 0.5) * 3.0), rel=1e-13)
-    with pytest.raises(ValueError):
-        stability_bound(np.zeros(1), 1.0, 1.0, 0.5, 0.5, 1.0)
+    got = stability_bound(_lipschitz(0.0, x0=2.0, f0=3.0), mesh)
+    assert got == pytest.approx(2.0 + gamma * 3.0, rel=1e-13)
+    half = _lipschitz(0.5 / gamma, x0=2.0, f0=3.0)    # L1 = 1/2
+    assert stability_bound(half, mesh) == pytest.approx(
+        2.0 * (2.0 + gamma * 3.0), rel=1e-13)
+    with pytest.raises(ValueError, match="contraction constant"):
+        stability_bound(_lipschitz(1.0), mesh)    # L1 = Gamma_q(1/2) = 1.57
     with pytest.raises(ValueError, match="fmax must be >= 0"):
-        stability_bound(np.zeros(1), math.nan, 1.0, 0.5, 0.5, 0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="x0 must be finite"):
-            stability_bound(np.array([0.0, bad]), 1.0, 1.0, 0.5, 0.5, 0.0)
+        stability_bound(_lipschitz(0.0, f0=math.nan), mesh)
+    # fmax is max_n |f(t_n, 0)| over the nodes, and t^alpha is b^alpha:
+    # here both are read at t_N = b = 2
+    rising = IVProblem(f=lambda t, x: np.array([-t]), alpha=0.5, x0=np.zeros(1),
+                       lipschitz_L=0.0)
+    assert stability_bound(rising, build_mesh(QScale(0.5, 2.0), 4)) == pytest.approx(
+        gamma * 2.0 ** 0.5 * 2.0, rel=1e-13)
 
 
 def test_stability_bound_dominates_example1_run():
     problem = make_problem("example1", q=0.25)
     scale = QScale(0.25, 1.0)
     trace = solve_ivp(problem, scale, 10)
-    fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(1)))))
-               for t in trace.mesh.nodes[1:])
-    cap = stability_bound(problem.x0, fmax, 1.0, 0.5, 0.25, 0.0)
+    cap = stability_bound(problem, trace.mesh)
     assert float(np.max(np.abs(trace.states))) <= cap
 
 
@@ -311,18 +325,25 @@ def test_error_bound_is_the_truncation_bound_over_the_stability_factor(q, alpha,
     # Theorem 5: the error bound at node n is the remainder bound times
     # Gamma_q(1-alpha) t_n^alpha, over 1 - L1
     mesh = build_mesh(QScale(q, 1.0), 12)
-    bound = error_bound(mesh, alpha, 1.5, L1)
     gamma = l1q._table(q, alpha, 1).gamma
+    problem = _lipschitz(L1 / gamma, alpha)
+    assert contraction_constant(problem, mesh.scale) == pytest.approx(L1, rel=1e-15)
+    bound = error_bound(problem, mesh, 1.5)
     for n in range(1, 13):
         expect = (gamma * mesh.nodes[n] ** alpha
                   * truncation_bound(mesh, n, alpha, 1.5) / (1.0 - L1))
         assert bound[n - 1] == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError, match="m2 must not be NaN or negative"):
-        error_bound(mesh, alpha, math.nan, L1)
+        error_bound(problem, mesh, math.nan)
     with pytest.raises(ValueError, match="m2 must not be NaN or negative"):
-        error_bound(mesh, alpha, -1.0, L1)
-    with pytest.raises(ValueError, match="contraction constant"):
-        error_bound(mesh, alpha, 1.5, 1.0)
+        error_bound(problem, mesh, -1.0)
+    with pytest.raises(ValueError, match="m2 must be finite"):
+        error_bound(problem, mesh, math.inf)
+    L = 1.0 / gamma    # the least L with L1 = 1 is refused
+    while L * gamma < 1.0:
+        L = math.nextafter(L, 2.0)
+    with pytest.raises(ValueError, match=r"contraction constant must be in \[0, 1\), got 1.0$"):
+        error_bound(_lipschitz(L, alpha), mesh, 1.5)
 
 
 def test_error_report_theorem5_dominance():
@@ -334,7 +355,7 @@ def test_error_report_theorem5_dominance():
         problem = make_problem(name, q=q, alpha=alpha)
         scale = QScale(q, 1.0)
         trace = solve_ivp(problem, scale, 10)
-        bound = error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0)
+        bound = error_bound(problem, trace.mesh, m2=1.0 + q)
         assert np.all(_node_errors(trace, problem) <= bound + 1e-12)
 
 
@@ -376,7 +397,7 @@ def test_error_report_rejects_nan_m2():
     problem = make_problem("manufactured-linear", q=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 3)
     with pytest.raises(ValueError, match="m2 must not be NaN"):
-        error_bound(trace.mesh, problem.alpha, m2=math.nan)
+        error_bound(problem, trace.mesh, m2=math.nan)
 
 
 def test_fixed_point_failure_carries_partial_trace(monkeypatch):
@@ -387,6 +408,7 @@ def test_fixed_point_failure_carries_partial_trace(monkeypatch):
     err = info.value
     assert err.step == 1
     assert err.trace.states.shape[0] == err.step  # nodes before the failure
+    assert len(err.trace.fp_iterations) == len(err.trace.residuals) == err.step - 1
 
 
 def test_determinism_bit_identical():
@@ -397,6 +419,25 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.fp_iterations, b.fp_iterations)
     assert np.array_equal(a.residuals, b.residuals)
+
+
+@pytest.mark.parametrize("q, N", [(0.5, 30), (0.9, 100)])
+def test_a_longer_horizon_only_adds_steps(q, N):
+    # the mesh (N, b) is the first N nodes of the mesh (N+1, b/q): both
+    # have the same t_1, and every weight depends only on n - k and t_n,
+    # so the longer solve repeats the shorter one.  At q = 1/2 the nodes
+    # are the same doubles; at q = 0.9, b/q is rounded, so the nodes and
+    # the states agree to rounding (3.7e-16 relative)
+    problem = IVProblem(f=lambda t, x: np.sin(x) + t, alpha=0.4, x0=np.array([0.3]))
+    short = solve_ivp(problem, QScale(q, 1.0), N)
+    long = solve_ivp(problem, QScale(q, 1.0 / q), N + 1)
+    assert long.mesh.nodes[1] == short.mesh.nodes[1]
+    if q == 0.5:
+        assert np.array_equal(long.mesh.nodes[:N + 1], short.mesh.nodes)
+        assert np.array_equal(long.states[:N + 1], short.states)
+    else:
+        assert np.max(np.abs(long.states[:N + 1] / short.states - 1.0)) <= 1e-15
+    assert np.array_equal(long.fp_iterations[:N], short.fp_iterations)
 
 
 def test_solve_unchanged_by_a_larger_solve_before_it(monkeypatch):
@@ -445,7 +486,7 @@ def test_vector_problem_componentwise():
                         exact=lambda t: np.array([1.0 + 2.0 * t, t * t + 1.0]))
     trace = solve_ivp(problem, QScale(q, 1.0), 8)
     assert trace.states.shape == (9, 2)
-    bound = error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0)
+    bound = error_bound(problem, trace.mesh, m2=1.0 + q)
     assert np.all(_node_errors(trace, problem) <= bound + 1e-12)
     # affine component is reproduced almost exactly
     errs_affine = [abs(trace.states[n, 0] - (1.0 + 2.0 * trace.mesh.nodes[n]))
@@ -527,6 +568,7 @@ def test_non_finite_rhs_stops_at_once(bad, d):
     err = info.value
     assert err.step == 5
     assert err.trace.states.shape == (5, d)
+    assert len(err.trace.fp_iterations) == len(err.trace.residuals) == err.step - 1
     assert np.all(np.isfinite(err.trace.states))
     # one call from the predicted start, one from the nudged retry
     assert sum(t > 0.3 for t in calls) == 2
@@ -545,7 +587,7 @@ def test_manufactured_solutions_property(q, alpha, N):
     quadratic = make_problem("manufactured-quadratic", q=q, alpha=alpha)
     trace = solve_ivp(quadratic, scale, N)
     abs_err = _node_errors(trace, quadratic)
-    assert np.all(abs_err <= error_bound(trace.mesh, alpha, m2=1.0 + q, L1=0.0) + 1e-12)
+    assert np.all(abs_err <= error_bound(quadratic, trace.mesh, m2=1.0 + q) + 1e-12)
     assert not np.any(np.isnan(rate_constants(abs_err, q)))
 
 
@@ -594,7 +636,7 @@ def test_fallback_start_solves_where_the_prediction_fails():
     f, calls = _recording(lambda t, x: L * np.sin(x) + t)
     problem = IVProblem(f=f, alpha=alpha, x0=np.array([1.0]), lipschitz_L=L)
     trace = solve_ivp(problem, QScale(q, 1.0), N)
-    assert contraction_constant(L, alpha, QScale(q, 1.0)) == pytest.approx(1.96, abs=5e-3)
+    assert contraction_constant(problem, QScale(q, 1.0)) == pytest.approx(1.96, abs=5e-3)
     last = calls[trace.mesh.nodes[N].item()]
     pert = solver.START_PERTURBATION
     start = last.index(trace.states[N - 1, 0].item() * (1.0 + pert) + pert)
