@@ -14,16 +14,16 @@ Hypergeometric Series*, 2nd ed., ch. 1):
     G(m)   = (q^(m+1); q)_inf / (q^(m+1-alpha); q)_inf,
     S(n)   = (1-q) sum_{i>=0} q^i G(n-1+i)  (the Jackson series of b_1),
 
-and Gamma_q(1-alpha) = G(0) (1-q)^alpha.  :func:`weight_table` builds G,
-S and the gaps D of G for every distance at once from downward
-recurrences, so one table serves every node of every mesh with that q and
-alpha, its Gamma_q, and the lattice operators of :mod:`qfde.qfrac`: at
-s = t q^j, (t - q s)^(-alpha) = t^(-alpha) G(j), and D(j) weighs f(s) in
-the RL derivative.  The solver, :func:`coefficients`, :func:`l1q_apply`
-and those operators read the tables of the TABLES_KEPT most recently used
-(q, alpha) from one store per process.  A table is never written after it
-is built, and a slice of a larger one equals a fresh build of the smaller
-one bit for bit, so no call's values depend on the calls before it.
+and Gamma_q(1-alpha) = G(0) (1-q)^alpha.  :func:`weight_table` builds G, S
+and the gaps D of G for every distance at once from downward recurrences,
+so one table serves every node of every mesh with that q and alpha, its
+Gamma_q, and the lattice operators of :mod:`qfde.qfrac`: at s = t q^j,
+(t - q s)^(-alpha) = t^(-alpha) G(j), and D(j) weighs f(s) in the RL
+derivative.  The solver, :func:`coefficients`, :func:`l1q_apply` and those
+operators read the TABLES_KEPT most recently used (q, alpha) tables of one
+store per process, each only the prefix it names (an operator T(q) entries).
+A table is never written after it is built, and its slices equal fresh
+builds bit for bit, so no call's values depend on the calls before it.
 """
 
 from __future__ import annotations
@@ -170,12 +170,13 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
 
 
 # Weight tables kept per process, keyed on (q, alpha), least recently used
-# first.  The solver workloads of the benchmark use four keys; lattice-ops
-# keeps two per q live (the Caputo derivative's alpha and the integral's
-# 1 - alpha), six per round.  The three bounds read Gamma_q off the kept
-# table too, so one at a new (q, alpha) keeps a size-1 table that may evict
-# another; qcore's Gamma_q and q-beta never touch the store.  A table takes
-# 24 bytes per entry (7 KB at N = 300, 0.77 MB at T(0.999) = 32,221).
+# first; each reader takes only the prefix it names (an operator T(q)).  The
+# solver workloads of the benchmark use four keys; lattice-ops keeps two per
+# q live (the Caputo derivative's alpha and the integral's 1 - alpha), six
+# per round.  The three bounds read Gamma_q off the kept table too, so one
+# at a new (q, alpha) keeps a size-1 table that may evict another; qcore's
+# Gamma_q and q-beta never touch the store.  A table takes 24 bytes per
+# entry (7 KB at N = 300, 0.77 MB at T(0.999) = 32,221).
 TABLES_KEPT = 4
 _tables: dict = {}
 _tables_lock = threading.Lock()
@@ -186,9 +187,8 @@ def _table(q: float, alpha: float, size: int) -> WeightTable:
 
     A miss builds one of the given size; a kept table that is too small is
     rebuilt at max(size, twice its size), so a run of growing requests
-    builds O(log N) tables.  A solve asks for N entries, so a solve at
-    q = 0.9999 and N = 10 keeps 10; a lattice operator asks for T(q), the
-    distance past which G = 1 to REL_TOL.
+    builds O(log N) tables.  Every reader takes only the first size entries:
+    N for a solve, T(q) for a lattice operator (past which G = 1 to REL_TOL).
     """
     key = (q, alpha)
     with _tables_lock:

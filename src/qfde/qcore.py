@@ -289,7 +289,7 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     """n-fold q-derivative.
 
     For t > 0 the exact combination of f at q^j t, j = 0..n, over t^n,
-    refused where t^n underflows to 0.  At t = 0 only n = 1, the lattice
+    refused where t^n is subnormal or 0.  At t = 0 only n = 1, the lattice
     limit of :func:`q_derivative`; n >= 2 would nest two limits.
     """
     _check_q(q)
@@ -301,8 +301,8 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
         if n == 1:
             return q_derivative(f, 0.0, q)
         raise ValueError(f"q-derivative of order n={n} >= 2 is not taken at t=0")
-    if t ** n == 0.0:
-        raise ValueError(f"q-derivative of order n={n} at t={t!r}: t^{n} underflows to 0")
+    if t ** n < _TINY:    # the least normal double: a subnormal t^n has lost digits
+        raise ValueError(f"q-derivative of order n={n} at t={t!r}: t^{n} is subnormal or 0")
     coeff = _iterated_coefficients(n, q)
     total = None
     point = float(t)

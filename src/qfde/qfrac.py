@@ -15,7 +15,7 @@ with K(j) = G(j) prod_(i<m) (1 - q^(j+r+i)) on the (q, 1-r) table (G = 1
 when r = 1), and the (q, alpha) table a solve reads.  Regrouped by point,
 D_q I^(1-alpha) f weighs f(s_j), j >= 1, by q^j (G(j) - q^(-alpha) G(j-1)),
 which the recurrence of G makes -D(j), so no two integrals are subtracted.
-Past the table G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
+Past T(q) entries G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
         return 0.0
     gamma = q_gamma(alpha, q)    # SingularKernelError once 1 - alpha rounds to 1
     r = alpha - (m := math.ceil(alpha) - 1)    # alpha = m + r, 0 < r <= 1
-    G = _table(q, 1.0 - r, tail_terms(q)).G.tolist() if r < 1.0 else []
-    kernel = chain(G, repeat(1.0))    # G = 1 past the table, to REL_TOL
+    G = _table(q, 1.0 - r, T := tail_terms(q)).G[:T].tolist() if r < 1.0 else []
+    kernel = chain(G, repeat(1.0))    # G = 1 past T(q) entries, to REL_TOL
     if m:
         kernel = (g * math.prod(1.0 - q ** (j + r + i) for i in range(m))
                   for j, g in enumerate(kernel))
@@ -69,8 +69,8 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return frac_q_integral(f, -alpha, t, q)
     if t == 0.0:
         return 0.0
-    table = _table(q, alpha, tail_terms(q))
-    kernel = chain(table.G.tolist(), repeat(1.0))
+    table = _table(q, alpha, T := tail_terms(q))
+    kernel = chain(table.G[:T].tolist(), repeat(1.0))
     steps = pairwise(map(f, _lattice(t, q)))    # (f(s_j), f(s_(j+1)))
     total = _lattice_sum((g * (a - b) for g, (a, b) in zip(kernel, steps)), q)
     return t ** -alpha * total / table.gamma
@@ -92,8 +92,8 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return f(t)
     if alpha < 0.0:
         return frac_q_integral(f, -alpha, t, q)
-    table = _table(q, alpha, tail_terms(q))
-    tail = -math.expm1(-alpha * math.log(q)) * q ** len(table.D)    # -D(j) = -c q^j
-    weights = chain(table.G[:1].tolist(), (-table.D[1:]).tolist(), _lattice(tail, q))
+    table = _table(q, alpha, T := tail_terms(q))
+    tail = -math.expm1(-alpha * math.log(q)) * q ** T    # -D(j) = -c q^j
+    weights = chain(table.G[:1].tolist(), (-table.D[1:T]).tolist(), _lattice(tail, q))
     total = _lattice_sum((w * f(s) for w, s in zip(weights, _lattice(t, q))), q)
     return t ** -alpha * total / table.gamma

@@ -328,8 +328,8 @@ def stability_bound(problem: IVProblem, mesh: QMesh) -> float:
     """A-priori bound (1/(1-L1)) [|x0| + Gamma_q(1-alpha) b^alpha fmax] on max_n |x^n|,
     fmax = max_n |f(t_n, 0)| over t_1 .. t_N; kept Gamma_q."""
     L1 = _contracting(problem, mesh.scale)
-    fmax = max(float(np.max(np.abs(problem.f(float(t), np.zeros(problem.d)))))
-               for t in mesh.nodes[1:])
+    fmax = float(np.max([np.max(np.abs(problem.f(float(t), np.zeros(problem.d))))
+                         for t in mesh.nodes[1:]]))
     if not fmax >= 0.0:
         raise ValueError(f"fmax must be >= 0, got {fmax}")
     q, b, alpha = mesh.scale.q, mesh.scale.b, problem.alpha

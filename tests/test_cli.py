@@ -430,7 +430,11 @@ def test_bounds_refuse_a_problem_without_a_lipschitz_constant(monkeypatch, capsy
                  "m2 must be finite, got inf", id="m2-inf"),
     # t_1 = 4^-299, whose square underflows to 0 in the m2 estimate
     pytest.param(["--problem", "manufactured-quadratic", "--q", "1/4", "--N", "300"],
-                 "t^2 underflows to 0", id="m2-estimate-underflow"),
+                 "t^2 is subnormal or 0", id="m2-estimate-underflow"),
+    # t_1 = 4^-268, whose square 2e-323 is subnormal: it once ran to "ok" with
+    # m2 = 4.5e307 and a bound of 2.7e307 at t = 1
+    pytest.param(["--problem", "manufactured-quadratic", "--q", "1/4", "--N", "269"],
+                 "t^2 is subnormal or 0", id="m2-estimate-subnormal"),
 ])
 def test_bounds_refuse_a_non_finite_m2_in_a_fresh_process(argv, message):
     # each once ran to "ok": inf bounds, or inf x 0 = NaN bounds after a
@@ -442,6 +446,21 @@ def test_bounds_refuse_a_non_finite_m2_in_a_fresh_process(argv, message):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert message in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("nan_at", [lambda t: t > 0.5, lambda t: t < 0.2],
+                         ids=["last-node", "first-nodes"])
+def test_estimate_m2_refuses_a_nan_at_any_node(nan_at):
+    # x = t^2 + 1 has D_q^2 x = 1 + q = 1.5 at q = 1/2; an exact solution
+    # that is NaN at some node gives a NaN m2, which the bounds refuse
+    problem = make_problem("manufactured-quadratic", 0.5)
+    mesh = build_mesh(QScale(0.5), 4)
+    assert cli.estimate_m2(problem, mesh) == pytest.approx(1.5, rel=1e-12)
+    exact = problem.exact
+    problem.exact = lambda t: math.nan if nan_at(t) else exact(t)
+    assert math.isnan(cli.estimate_m2(problem, mesh))
+    with pytest.raises(ValueError, match="m2 must not be NaN or negative"):
+        run_bounds(problem, QScale(0.5), 4)
 
 
 @pytest.mark.parametrize("m2, calls", [(None, 3 * 12 + 1), (2.0, 1)])

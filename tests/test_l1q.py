@@ -16,12 +16,16 @@ from qfde import (
     build_mesh,
     caputo_q_derivative,
     coefficients,
+    frac_q_integral,
     l1q_apply,
+    make_problem,
     q_bracket,
     q_derivative,
     q_gamma,
     q_integral,
+    rl_q_derivative,
     shifted_factorial_real,
+    solve_ivp,
     truncation_bound,
     weight_table,
 )
@@ -369,6 +373,33 @@ def test_coefficients_do_not_depend_on_the_kept_table(monkeypatch):
     for n, c in alone.items():
         again = coefficients(mesh, n, 0.3)
         assert np.array_equal(again, c)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.9])
+@pytest.mark.parametrize("op, order, key_alpha", [
+    pytest.param(frac_q_integral, 0.4, 0.6, id="integral-0.4"),
+    pytest.param(frac_q_integral, 1.5, 0.5, id="integral-1.5"),
+    pytest.param(caputo_q_derivative, 0.3, 0.3, id="caputo"),
+    pytest.param(rl_q_derivative, 0.3, 0.3, id="rl"),
+])
+def test_lattice_operators_do_not_depend_on_the_kept_table(monkeypatch, op, order,
+                                                           key_alpha, q):
+    # an operator reads the first T(q) entries of the kept (q, key_alpha)
+    # table and the closed tail past them: a table grown to 4 T(q), or one
+    # that a solve at q = 1/4 and N = 100 left at 100 > T(1/4) = 24 entries,
+    # gives the bits of an emptied store
+    f = lambda s: 1.0 + s + s * s
+    T = tail_terms(q)
+    monkeypatch.setattr(l1q, "_tables", {})
+    kept = lambda: [(key, len(table.G)) for key, table in l1q._tables.items()]
+    fresh = op(f, order, 1.0, q)
+    assert kept() == [((q, key_alpha), T)]
+    l1q._table(q, key_alpha, 4 * T)
+    assert op(f, order, 1.0, q) == fresh
+    assert kept() == [((q, key_alpha), 4 * T)]
+    monkeypatch.setattr(l1q, "_tables", {})
+    solve_ivp(make_problem("manufactured-quadratic", 0.25, alpha=0.3), QScale(0.25), 100)
+    assert op(f, order, 1.0, q) == fresh
 
 
 def test_kept_tables_under_concurrent_use(monkeypatch):

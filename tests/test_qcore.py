@@ -344,11 +344,13 @@ def test_q_derivative_n_at_zero():
 
 
 def test_q_derivative_n_refuses_a_t_whose_power_underflows():
-    # t^2 = 1e-340 underflows to 0: the closed form would divide by it
-    calls = []
-    with pytest.raises(ValueError, match=r"t\^2 underflows to 0"):
-        q_derivative_n(lambda s: calls.append(s) or s * s, 1e-170, 0.25, 2)
-    assert calls == []
+    # t^2 = 1e-340 underflows to 0, and t^2 = 1e-320 is subnormal: the
+    # closed form would divide by it (s gave 7.9e143, not 0, at t = 1e-160)
+    for t in (1e-170, 1e-160):
+        calls = []
+        with pytest.raises(ValueError, match=r"t\^2 is subnormal or 0"):
+            q_derivative_n(lambda s: calls.append(s) or s * s, t, 0.25, 2)
+        assert calls == []
 
 
 def test_limit_and_series_non_convergence(monkeypatch):

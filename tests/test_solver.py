@@ -296,6 +296,11 @@ def test_stability_bound_values():
         stability_bound(_lipschitz(1.0), mesh)    # L1 = Gamma_q(1/2) = 1.57
     with pytest.raises(ValueError, match="fmax must be >= 0"):
         stability_bound(_lipschitz(0.0, f0=math.nan), mesh)
+    # a NaN at a later node only (t_N = 1) is refused too, not skipped
+    late_nan = IVProblem(f=lambda t, x: np.array([math.nan if t > 0.5 else 1.0]),
+                         alpha=0.5, x0=np.zeros(1), lipschitz_L=0.1)
+    with pytest.raises(ValueError, match="fmax must be >= 0"):
+        stability_bound(late_nan, mesh)
     # fmax is max_n |f(t_n, 0)| over the nodes, and t^alpha is b^alpha:
     # here both are read at t_N = b = 2
     rising = IVProblem(f=lambda t, x: np.array([-t]), alpha=0.5, x0=np.zeros(1),
