@@ -7,12 +7,8 @@ it installs its spans, and fails without it.  Delete it together with that
 entry at the next change to the benchmark.
 """
 
-import sys
-
 from .errors import NonConvergenceError
-from .qcore import shifted_factorial_real
-
-_TINY = sys.float_info.min
+from .qcore import _TINY, shifted_factorial_real
 
 
 def b1_weight(t_n, t_1, alpha, q, rel_tol, max_terms):

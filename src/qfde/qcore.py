@@ -6,7 +6,8 @@ provides the q-bracket and q-factorial, the q-shifted factorial (t - s)^(a)
 otherwise), q-gamma (read off a weight table of :mod:`qfde.l1q`), q-beta,
 Jackson's q-integral and the q-derivative with its iterated closed form.
 
-All values are plain doubles, and the operations are pure functions,
+All values are plain doubles (a scalar Jackson sum adds and tests its
+terms as Python floats), and the operations are pure functions,
 safe for concurrent use; :func:`q_gamma` keeps its GAMMAS_KEPT most
 recently used values per process.  The infinite sums and products stop at a
 relative tolerance of REL_TOL = 1e-14.  How many terms that takes is
@@ -26,8 +27,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -57,7 +59,7 @@ MIN_TERMS = 10_000     # floor of the term budget of every loop
 MAX_TAIL = 2 ** 20     # largest T(q) accepted: bounds the work of a loop
 GAMMAS_KEPT = 256      # q_gamma values kept per process
 
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min    # the least normal double, a Python float
 
 
 def tail_terms(q: float) -> int:
@@ -195,27 +197,37 @@ def _lattice_sum(terms, q: float):
     Every Jackson sum of the package stops here: once three consecutive
     terms (not one: f may vanish at a point) fall below REL_TOL times the
     running sum, or with NonConvergenceError past the budget of q.  The
-    test is taken entry by entry: an array sum stops once every entry has
-    settled, each on its own value.  The first term fixes the path: a
-    float (np.float64 is one) is summed as a Python float; anything else
-    is read by np.asarray.  A scalar sum is returned as a Python float.
+    first term, which counts toward the three, picks one of two loops.  A
+    float (np.float64 is one) starts the float loop: it adds and tests the
+    terms as they come, so float terms make no numpy scalar, and it returns
+    a Python float.  Anything else starts the array loop: it reads each
+    term by np.asarray and tests it entry by entry, so an array sum stops
+    once every entry has settled, each on its own value; a 0-d sum is
+    returned as a Python float.
     """
     budget = _budget(q)
-    total = array = None
-    small = 0
-    for term in islice(terms, budget):
-        if array is None:
-            array = not isinstance(term, float)
-        if array:
+    terms = islice(terms, budget)
+    first = next(terms, None)
+    total, small = -0.0, 0    # -0.0 + x is x for every x, -0.0 included
+    if isinstance(first, float):
+        for term in chain((first,), terms):
+            total += term
+            if abs(term) < REL_TOL * (abs(total) + _TINY):
+                small += 1
+                if small == 3:
+                    return float(total)
+            else:
+                small = 0
+    else:
+        for term in chain((first,), terms):
             term = np.asarray(term, dtype=float)
-        total = term if total is None else total + term
-        settled = abs(term) < REL_TOL * (abs(total) + _TINY)
-        if settled.all() if array else settled:
-            small += 1
-            if small == 3:
-                return total if array and total.ndim else float(total)
-        else:
-            small = 0
+            total = total + term
+            if (abs(term) < REL_TOL * (abs(total) + _TINY)).all():
+                small += 1
+                if small == 3:
+                    return total if total.ndim else float(total)
+            else:
+                small = 0
     raise NonConvergenceError(
         f"Jackson integral did not settle within {budget} terms at q={q!r}")
 

@@ -2,10 +2,13 @@
 
 All three start at the lower limit 0, the only one the scheme uses (Annaby
 & Mansour, *q-Fractional Calculus and Equations*, LNM 2056).  Each is one
-sum over the Jackson lattice s_j = t q^j, calling f once per point, whose
-kernel (t - q s_j)^(-a) = t^(-a) G(j), D(j) = G(j-1) - G(j) and
-Gamma_q(1-a) = G(0) (1-q)^a are read off the kept (q, a) table of
-:mod:`qfde.l1q`.  With beta = m + r (0 < r <= 1), Gamma = Gamma_q(1-alpha),
+sum over the Jackson lattice s_j = t q^j whose terms come from a chain of
+C-level iterators (map with operator.mul and operator.sub, itertools.tee
+and islice), with no Python frame per term; f is called once per point,
+in lattice order, and :func:`qfde.qcore._lattice_sum` adds the terms and
+stops the sum.  The kernel (t - q s_j)^(-a) = t^(-a) G(j),
+D(j) = G(j-1) - G(j) and Gamma_q(1-a) = G(0) (1-q)^a are read off the
+kept (q, a) table of :mod:`qfde.l1q`.  With beta = m + r (0 < r <= 1), Gamma = Gamma_q(1-alpha),
 
     I^beta f(t)   = t^(beta-1) (1-q)/Gamma_q(beta) sum_j K(j) s_j f(s_j),
     cD^alpha f(t) = t^(-alpha)/Gamma sum_j G(j) (f(s_j) - f(s_(j+1))),
@@ -21,7 +24,8 @@ Past T(q) entries G = 1 and D(j) = c q^j, c = q^(-alpha) - 1, to REL_TOL.
 from __future__ import annotations
 
 import math
-from itertools import chain, pairwise, repeat
+from itertools import chain, islice, repeat, tee
+from operator import mul, sub
 
 from .l1q import _table
 from .qcore import QFunction, _check_q, _lattice, _lattice_sum, q_gamma, tail_terms
@@ -47,7 +51,8 @@ def frac_q_integral(f: QFunction, alpha: float, t: float, q: float):
     if m:
         kernel = (g * math.prod(1.0 - q ** (j + r + i) for i in range(m))
                   for j, g in enumerate(kernel))
-    total = _lattice_sum((s * (k * f(s)) for k, s in zip(kernel, _lattice(t, q))), q)
+    points, at = tee(_lattice(t, q))
+    total = _lattice_sum(map(mul, points, map(mul, kernel, map(f, at))), q)    # s (k f(s))
     return t ** (alpha - 1.0) * ((1.0 - q) * total) / gamma
 
 
@@ -71,8 +76,9 @@ def caputo_q_derivative(f: QFunction, alpha: float, t: float, q: float):
         return 0.0
     table = _table(q, alpha, T := tail_terms(q))
     kernel = chain(table.G[:T].tolist(), repeat(1.0))
-    steps = pairwise(map(f, _lattice(t, q)))    # (f(s_j), f(s_(j+1)))
-    total = _lattice_sum((g * (a - b) for g, (a, b) in zip(kernel, steps)), q)
+    here, after = tee(map(f, _lattice(t, q)))    # f(s_j), read twice
+    steps = map(sub, here, islice(after, 1, None))    # f(s_j) - f(s_(j+1))
+    total = _lattice_sum(map(mul, kernel, steps), q)
     return t ** -alpha * total / table.gamma
 
 
@@ -95,5 +101,5 @@ def rl_q_derivative(f: QFunction, alpha: float, t: float, q: float):
     table = _table(q, alpha, T := tail_terms(q))
     tail = -math.expm1(-alpha * math.log(q)) * q ** T    # -D(j) = -c q^j
     weights = chain(table.G[:1].tolist(), (-table.D[1:T]).tolist(), _lattice(tail, q))
-    total = _lattice_sum((w * f(s) for w, s in zip(weights, _lattice(t, q))), q)
+    total = _lattice_sum(map(mul, weights, map(f, _lattice(t, q))), q)
     return t ** -alpha * total / table.gamma

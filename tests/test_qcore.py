@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from itertools import chain, repeat
 
 import mpmath as mp
 import numpy as np
@@ -361,6 +362,48 @@ def test_limit_and_series_non_convergence(monkeypatch):
     monkeypatch.setattr(qcore, "_budget", lambda q: 10)
     with pytest.raises(NonConvergenceError):
         q_integral_zero(lambda t: 1.0, 1.0, 0.5)
+
+
+def test_lattice_sum_counts_a_leading_zero_among_the_three_small_terms():
+    # three exact zeros stop the sum before the 7.0 that follows them
+    for zero in (0.0, -0.0, np.zeros(2)):
+        got = qcore._lattice_sum(chain([zero] * 3, repeat(7.0)), 0.5)
+        assert np.all(got == 0.0)
+    assert math.copysign(1.0, qcore._lattice_sum(repeat(-0.0), 0.5)) == -1.0
+    # 0, 1 breaks the run: the three small terms are the ones after 1
+    assert qcore._lattice_sum(chain([0.0, 1.0], repeat(1e-20)), 0.5) == 1.0
+
+
+def test_lattice_sum_takes_the_float_loop_for_numpy_floats():
+    terms = [0.5 ** j for j in range(60)]
+    got = qcore._lattice_sum(map(np.float64, terms), 0.5)
+    assert type(got) is float
+    assert got == qcore._lattice_sum(iter(terms), 0.5)
+    # a 0-d array is read by numpy, and its sum is returned as a float
+    zero_d = qcore._lattice_sum(map(np.asarray, terms), 0.5)
+    assert type(zero_d) is float and zero_d == got
+
+
+def test_lattice_sum_settles_each_entry_of_an_array_on_its_own_value():
+    # the second entry is 1e-6 of the first and decays slower: tested
+    # against the first entry's scale it would stop about 100 terms early
+    fast = [0.5 ** j for j in range(400)]
+    slow = [1e-6 * 0.9 ** j for j in range(400)]
+    got = qcore._lattice_sum(map(np.array, zip(fast, slow)), 0.5)
+    assert type(got) is np.ndarray and got.shape == (2,)
+    assert got[1] == qcore._lattice_sum(iter(slow), 0.5)
+    assert got[0] == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, lambda x: np.array([x, 0.0])],
+                         ids=["float", "float64", "array"])
+def test_lattice_sum_never_settles_past_a_nan(monkeypatch, wrap):
+    monkeypatch.setattr(qcore, "_budget", lambda q: 50)
+    read = []
+    terms = (read.append(j) or wrap(math.nan if j == 1 else 0.0) for j in range(1000))
+    with pytest.raises(NonConvergenceError, match="within 50 terms"):
+        qcore._lattice_sum(terms, 0.5)
+    assert len(read) == 50
 
 
 def test_q_beta_gamma_identity():

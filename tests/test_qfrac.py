@@ -1,5 +1,6 @@
 """Unit tests for the fractional q-operators."""
 
+import math
 import time
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from qfde import (
     NonConvergenceError,
     QScale,
     SingularKernelError,
+    build_mesh,
     caputo_q_derivative,
     frac_q_integral,
     l1q,
@@ -24,7 +26,7 @@ from qfde import (
     rl_q_derivative,
     solve_ivp,
 )
-from qfde.qcore import REL_TOL
+from qfde.qcore import REL_TOL, tail_terms
 
 from oracles import mp_caputo, mp_frac_integral, mp_qgamma
 
@@ -384,3 +386,90 @@ def test_a_non_finite_point_is_refused_before_f_is_called(op, point):
     with pytest.raises(ValueError, match=str(point)):
         op(f, point)
     assert calls == []
+
+
+def _reference_operator(name, f, alpha, t, q):
+    """A lattice operator summed term by term in a plain loop.
+
+    Each term is formed by the formula of the operator over s_j = t q^j,
+    each s_(j+1) = s_j q, and the running total stops by the rule of the
+    Jackson sums: three consecutive terms below REL_TOL (|total| + tiny),
+    tested entry by entry, within the budget of q.
+    """
+    T = tail_terms(q)
+    if name == "integral":
+        r = alpha - (m := math.ceil(alpha) - 1)
+        G = l1q._table(q, 1.0 - r, T).G[:T].tolist() if r < 1.0 else []
+    else:
+        table = l1q._table(q, alpha, T)
+        G, D = table.G[:T].tolist(), (-table.D[:T]).tolist()
+        w = -math.expm1(-alpha * math.log(q)) * q ** T    # -D(T)
+    tiny = np.finfo(float).tiny
+    total, small, s = None, 0, float(t)
+    f_s = f(s)
+    for j in range(qcore._budget(q)):
+        g = G[j] if j < T else 1.0
+        if name == "integral":
+            if m:
+                g *= math.prod(1.0 - q ** (j + r + i) for i in range(m))
+            term = s * (g * f_s)
+        elif name == "caputo":
+            f_next = f(s * q)
+            term = g * (f_s - f_next)
+        else:
+            if j >= T:
+                weight, w = w, w * q
+            else:
+                weight = G[0] if j == 0 else D[j]
+            term = weight * f_s
+        if not isinstance(term, float):
+            term = np.asarray(term, dtype=float)
+        total = term if total is None else total + term
+        small = small + 1 if np.all(abs(term) < REL_TOL * (abs(total) + tiny)) else 0
+        if small == 3:
+            break
+        s *= q
+        f_s = f_next if name == "caputo" else f(s)
+    else:
+        raise NonConvergenceError("reference sum did not settle")
+    if name == "integral":
+        return t ** (alpha - 1.0) * ((1.0 - q) * total) / q_gamma(alpha, q)
+    return t ** -alpha * total / table.gamma
+
+
+def _horner(c):
+    def f(s):
+        acc = 0.0
+        for a in reversed(c):
+            acc = acc * s + a
+        return acc
+    return f
+
+
+@pytest.mark.parametrize("q", [0.25, 2.0 / 3.0, 0.9])
+def test_lattice_operators_match_a_plain_loop_bit_for_bit(q):
+    # the operators build their terms from map chains over the lattice;
+    # each term takes the same float operations in the same order as the
+    # plain loop, so every value agrees exactly, not to a tolerance
+    rng = np.random.default_rng(31)
+    polys = [_horner(rng.uniform(-2.0, 2.0, degree + 1)) for degree in (1, 2, 3)]
+    nodes = build_mesh(QScale(q), 20).nodes[1:].tolist()
+    ops = {"caputo": caputo_q_derivative, "rl": rl_q_derivative, "integral": frac_q_integral}
+    cases = [(name, alpha) for alpha in (0.1, 0.45, 0.85) for name in ops]
+    cases += [("integral", 0.5), ("integral", 1.5)]
+    for name, alpha in cases:
+        for f in polys:
+            for t in nodes:
+                got = ops[name](f, alpha, t, q)
+                assert type(got) is float
+                assert got == _reference_operator(name, f, alpha, t, q), (name, alpha, t)
+
+
+@pytest.mark.parametrize("name, op, alpha", [
+    ("caputo", caputo_q_derivative, 0.7), ("rl", rl_q_derivative, 0.7),
+    ("integral", frac_q_integral, 0.5), ("integral", frac_q_integral, 1.5)])
+def test_vector_lattice_operators_match_a_plain_loop_bit_for_bit(name, op, alpha):
+    f = lambda s: np.array([1.0 + s * (0.5 - s), 3.0 * s ** 0.5])
+    got = op(f, alpha, 0.8, 2.0 / 3.0)
+    ref = _reference_operator(name, f, alpha, 0.8, 2.0 / 3.0)
+    assert got.shape == (2,) and got.tolist() == ref.tolist()

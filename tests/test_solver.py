@@ -351,7 +351,7 @@ def test_error_bound_is_the_truncation_bound_over_the_stability_factor(q, alpha,
         error_bound(_lipschitz(L, alpha), mesh, 1.5)
 
 
-def test_error_report_theorem5_dominance():
+def test_error_bound_theorem5_dominance():
     # linear-in-x problems: errors stay under the a-priori estimate
     for name, q, alpha in [("example1", 0.25, 0.5),
                            ("manufactured-quadratic", 0.5, 0.5),
@@ -364,7 +364,7 @@ def test_error_report_theorem5_dominance():
         assert np.all(_node_errors(trace, problem) <= bound + 1e-12)
 
 
-def test_error_report_rate_constants():
+def test_rate_constants_values():
     problem = make_problem("manufactured-quadratic", q=0.5, alpha=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 5)
     abs_err = _node_errors(trace, problem)
@@ -397,7 +397,7 @@ def test_rate_constants_past_the_underflow_of_q_power():
     assert got[1] == 0.0 and got[3] == np.inf
 
 
-def test_error_report_rejects_nan_m2():
+def test_error_bound_rejects_nan_m2():
     # a NaN m2 would make every bound NaN and every node a violation
     problem = make_problem("manufactured-linear", q=0.5)
     trace = solve_ivp(problem, QScale(0.5, 1.0), 3)
