@@ -22,15 +22,12 @@ from .l1q import (
 from .problems import make_problem, problem_names
 from .qcore import (
     QScale,
-    q_beta,
     q_bracket,
     q_derivative,
     q_derivative_n,
     q_factorial,
     q_gamma,
-    q_integral,
     q_integral_zero,
-    shifted_factorial_int,
     shifted_factorial_real,
 )
 from .qfrac import caputo_q_derivative, frac_q_integral, rl_q_derivative
@@ -51,9 +48,8 @@ __all__ = [
     "QCalculusError", "SingularKernelError",
     "QScale", "QMesh", "WeightTable",
     "IVProblem", "SolveTrace",
-    "q_bracket", "q_factorial", "shifted_factorial_int", "shifted_factorial_real",
-    "q_gamma", "q_beta", "q_integral", "q_integral_zero", "q_derivative",
-    "q_derivative_n",
+    "q_bracket", "q_factorial", "shifted_factorial_real",
+    "q_gamma", "q_integral_zero", "q_derivative", "q_derivative_n",
     "frac_q_integral", "caputo_q_derivative", "rl_q_derivative",
     "build_mesh", "coefficients", "l1q_apply", "truncation_bound",
     "weight_table",

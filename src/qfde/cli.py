@@ -15,8 +15,9 @@ has one), node by node; rows are (t, x_num, x_exact, abs_err, fp_iters).
 
 Exit codes: 0 success, 1 numerical failure (solver non-convergence and
 every other :class:`~qfde.errors.QCalculusError`), 2 bound violation,
-3 invalid arguments.  A reader closing stdout early (``| head``) is no
-failure: the run stops writing and keeps its own exit code.
+3 invalid arguments, an ``--out`` that cannot be written among them.  A
+reader closing stdout early (``| head``) is no failure: the run stops
+writing and keeps its own exit code.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
     except QCalculusError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_SOLVER
-    except ValueError as err:
+    except (ValueError, OSError) as err:    # OSError: --out cannot be written
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ARGS
     raise AssertionError(f"unhandled command {args.command!r}")

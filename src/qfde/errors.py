@@ -14,7 +14,12 @@ class PoleError(QCalculusError):
 
 
 class SingularKernelError(QCalculusError):
-    """A shifted-factorial product factor has a vanishing denominator."""
+    """A kernel or Gamma_q meets its pole.
+
+    A shifted-factorial product factor has a vanishing denominator, or an
+    order rounds onto the pole of Gamma_q at 0, in :func:`~qfde.qcore.q_gamma`
+    and so in the fractional integral (and the derivatives of negative order).
+    """
 
 
 class MonotonicityError(QCalculusError):

@@ -175,8 +175,8 @@ def weight_table(q: float, alpha: float, size: int) -> WeightTable:
 # q live (the Caputo derivative's alpha and the integral's 1 - alpha), six
 # per round.  The three bounds read Gamma_q off the kept table too, so one
 # at a new (q, alpha) keeps a size-1 table that may evict another; qcore's
-# Gamma_q and q-beta never touch the store.  A table takes 24 bytes per
-# entry (7 KB at N = 300, 0.77 MB at T(0.999) = 32,221).
+# Gamma_q builds its own size-1 table and never touches the store.  A table
+# takes 24 bytes per entry (7 KB at N = 300, 0.77 MB at T(0.999) = 32,221).
 TABLES_KEPT = 4
 _tables: dict = {}
 _tables_lock = threading.Lock()

@@ -1,10 +1,12 @@
 """q-calculus primitives on geometric time scales.
 
 Everything is parameterized by a scale index 0 < q < 1.  The module
-provides the q-bracket and q-factorial, the q-shifted factorial (t - s)^(a)
-(finite product for integer a >= 0, truncated infinite product ratio
-otherwise), q-gamma (read off a weight table of :mod:`qfde.l1q`), q-beta,
-Jackson's q-integral and the q-derivative with its iterated closed form.
+provides the q-bracket and q-factorial, the q-shifted factorial
+(t - s)^(a) (finite product for integer a >= 0, truncated infinite
+product ratio otherwise), q-gamma (read off a weight table of
+:mod:`qfde.l1q`), the Jackson q-integral over [0, x] with the one lattice
+sum that every Jackson sum of the package runs through, and the
+q-derivative with its iterated closed form.
 
 All values are plain doubles (a scalar Jackson sum adds and tests its
 terms as Python floats), and the operations are pure functions,
@@ -15,11 +17,10 @@ fixed by q: the terms decay like q^m, so T(q) = ceil(ln(REL_TOL)/ln q)
 of them reach the tolerance (Gasper & Rahman, *Basic Hypergeometric
 Series*, 2nd ed., ch. 1).  Every loop may run max(10_000, 2 T(q)) terms
 before it raises :class:`~qfde.errors.NonConvergenceError`; the factor 2
-covers the product's tighter band REL_TOL (1-q).  A series whose terms
-decay like q^(c m), 0 < c < 1, has the budget of the scale q^c: T(q^c)
-is about T(q)/c.  T is capped at MAX_TAIL = 2^20 terms, which bounds the
-work of any loop (q up to about 0.99997); past it a call raises
-NonConvergenceError before its loop starts.
+covers the product's tighter band REL_TOL (1-q).  T is capped at
+MAX_TAIL = 2^20 terms, which bounds the work of any loop (q up to about
+0.99997); past it a call raises NonConvergenceError before its loop
+starts.
 """
 
 from __future__ import annotations
@@ -102,24 +103,12 @@ def q_factorial(n: int, q: float) -> float:
     return out
 
 
-def shifted_factorial_int(t: float, s: float, k: int, q: float) -> float:
-    """(t - s)^(k) = prod_{i=0}^{k-1} (t - q^i s); empty product for k = 0."""
-    _check_q(q)
-    if k < 0:
-        raise ValueError(f"integer shifted factorial needs k >= 0, got {k}")
-    out = 1.0
-    qi = 1.0
-    for _ in range(k):
-        out *= t - qi * s
-        qi *= q
-    return out
-
-
 def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
     """(t - s)^(alpha) for real alpha, 0 <= s <= t, t > 0.
 
-    Nonnegative integer alpha routes to the exact finite product; other
-    orders use the truncated product
+    Nonnegative integer alpha is the exact finite product
+    prod_(i<alpha) (t - q^i s), empty at alpha = 0; other orders use the
+    truncated product
 
         t^alpha * prod_{i>=0} (t - q^i s)/(t - q^(alpha+i) s),
 
@@ -138,7 +127,11 @@ def shifted_factorial_real(t: float, s: float, alpha: float, q: float) -> float:
     if not 0.0 <= s <= t:
         raise ValueError(f"shifted factorial needs 0 <= s <= t, got s={s}, t={t}")
     if alpha == math.floor(alpha) and alpha >= 0:
-        return shifted_factorial_int(t, s, int(alpha), q)
+        out, qi = 1.0, 1.0
+        for _ in range(int(alpha)):
+            out *= t - qi * s
+            qi *= q
+        return out
     budget = _budget(q)
     band = REL_TOL * (1.0 - q)
     shift = math.expm1(alpha * math.log(q))    # q^alpha - 1
@@ -248,13 +241,6 @@ def q_integral_zero(f: QFunction, x: float, q: float):
     return (1.0 - q) * _lattice_sum(terms, q)
 
 
-def q_integral(f: QFunction, a: float, b: float, q: float):
-    """q-integral over (a, b) as the difference of two Jackson integrals."""
-    if not 0.0 <= a <= b < math.inf:
-        raise ValueError(f"q-integral needs finite 0 <= a <= b, got a={a}, b={b}")
-    return q_integral_zero(f, b, q) - q_integral_zero(f, a, q)
-
-
 def q_derivative(f: QFunction, t: float, q: float):
     """D_q f(t) = (f(qt) - f(t)) / ((q-1) t); at t = 0, the lattice limit.
 
@@ -325,38 +311,3 @@ def q_derivative_n(f: QFunction, t: float, q: float, n: int):
     out = total / t ** n
     return float(out) if out.ndim == 0 else out
 
-
-def q_beta(alpha: float, beta: float, q: float) -> float:
-    """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t.
-
-    The Jackson sum (1-q) sum_n q^(n alpha) (1 - q^(n+1))^(beta-1): its
-    first term, (q;q)_inf/(q^beta;q)_inf, is Gamma_q(r) (1-q)^(r-1)
-    prod_(i<m) (1 - q^(r+i)) at beta = m + r, 0 < r <= 1, finite where
-    Gamma_q(beta) overflows, and term n+1 is term n times
-    q^alpha (1 - q^(n+beta))/(1 - q^(n+1)), each 1 - q^x formed by expm1.
-    The terms decay like q^(n c), c = min(alpha, 1), so the sum stops at
-    the first term within REL_TOL (1 - q^c) of the total, on the budget
-    of the scale q^c.  It agrees with
-    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
-    """
-    _check_q(q)
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ValueError(f"q-beta needs a finite {name}, got {name}={value}")
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(f"q-beta needs alpha, beta > 0, got {alpha}, {beta}")
-    decay = q ** min(alpha, 1.0)
-    budget = _budget(decay)
-    band = REL_TOL * (1.0 - decay)
-    qa, ln_q = q ** alpha, math.log(q)
-    r = beta - (m := math.ceil(beta) - 1)
-    term = q_gamma(r, q) * (1.0 - q) ** (r - 1.0)    # n = 0
-    term *= math.prod(-math.expm1((r + i) * ln_q) for i in range(m))
-    total = 0.0
-    for n in range(budget):
-        total += term
-        if term <= band * total:
-            return (1.0 - q) * total
-        term *= qa * math.expm1((n + beta) * ln_q) / math.expm1((n + 1) * ln_q)
-    raise NonConvergenceError(
-        f"q-beta sum did not settle within {budget} terms at q={q!r}")

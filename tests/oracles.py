@@ -55,6 +55,32 @@ def mp_jackson0(f, x, q, terms=3000):
     return (1 - q) * total
 
 
+def mp_qbeta(alpha, beta, q, terms=100_000):
+    """B_q(alpha, beta) = int_0^1 t^(alpha-1) (1 - q t)^(beta-1) d_q t, alpha, beta > 0.
+
+    The Jackson sum (1-q) sum_n q^(n alpha) (q^(n+1);q)_inf/(q^(n+beta);q)_inf.
+    Term 0 is a straight partial product; term n+1 is term n times
+    q^alpha (1 - q^(n+beta))/(1 - q^(n+1)).  The powers of q are carried
+    by multiplication.  The terms are positive and fall like
+    q^(n min(alpha, 1)), so the sum stops at the first term below the
+    working precision times the total.
+    """
+    alpha, beta, q = map(mp.mpf, (alpha, beta, q))
+    term, stop = mp.mpf(1), _stop()
+    qi, qib = mp.mpf(1), q ** beta    # q^i, q^(i+beta)
+    while qi >= stop:
+        term *= (1 - qi * q) / (1 - qib)
+        qi, qib = qi * q, qib * q
+    total, qa, qnb, qn1 = mp.mpf(0), q ** alpha, q ** beta, q
+    for _ in range(terms):
+        total += term
+        if term < stop * total:
+            return (1 - q) * total
+        term *= qa * (1 - qnb) / (1 - qn1)
+        qnb, qn1 = qnb * q, qn1 * q
+    raise ArithmeticError(f"q-beta sum did not settle within {terms} terms")
+
+
 def mp_frac_integral(f, alpha, t, q):
     """Fractional q-integral of order alpha at t via brute-force summation."""
     t, q, alpha = mp.mpf(t), mp.mpf(q), mp.mpf(alpha)

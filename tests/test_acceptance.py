@@ -39,11 +39,10 @@ from qfde import (
     coefficients,
     l1q_apply,
     make_problem,
-    q_beta,
     q_bracket,
     q_derivative,
     q_gamma,
-    q_integral,
+    q_integral_zero,
     shifted_factorial_real,
     solve_ivp,
     solve_linear_history,
@@ -51,7 +50,7 @@ from qfde import (
 )
 from qfde.cli import emit_csv, parse_csv, run_convergence, run_solve
 
-from oracles import mp_caputo, mp_closed_b1, mp_l1q_march, mp_qgamma
+from oracles import mp_caputo, mp_closed_b1, mp_l1q_march, mp_qbeta, mp_qgamma
 
 GRID_Q = (0.3, 0.5, 2.0 / 3.0)
 GRID_ALPHA = (0.25, 0.5, 0.75)
@@ -183,7 +182,8 @@ def test_criterion_3_coefficient_identities():
                 chain_ok &= bool(np.all(np.diff(c) > 0.0))
                 kern = lambda s: shifted_factorial_real(t[n], q * s, -alpha, q)
                 for k in range(2, n + 1):
-                    quad = (q_integral(kern, float(t[k - 1]), float(t[k]), q)
+                    quad = ((q_integral_zero(kern, float(t[k]), q)
+                             - q_integral_zero(kern, float(t[k - 1]), q))
                             / mesh.steps[k - 1])
                     worst = max(worst, abs(c[k - 1] - quad) / quad)
     wall = time.perf_counter() - start
@@ -247,8 +247,9 @@ def test_criterion_5_unconditional_stability():
 
 def test_criterion_6_special_function_suite():
     """Gamma recurrence (200 points, rel 1e-10), beta/gamma identity
-    (rel 1e-8), both integration-by-parts identities (rel 1e-8), kernel
-    derivative identity (rel 1e-9) and kernel bound; < 10 s."""
+    against the 40-digit Jackson sum of B_q (rel 1e-12), both
+    integration-by-parts identities (rel 1e-8), kernel derivative identity
+    (rel 1e-9) and kernel bound; < 10 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(7)
 
@@ -264,8 +265,9 @@ def test_criterion_6_special_function_suite():
     for q in (0.3, 0.5, 0.8):
         for a in (0.5, 1.0, 1.5, 2.5):
             for b in (0.5, 1.0, 1.5, 2.5):
-                ref = q_gamma(a, q) * q_gamma(b, q) / q_gamma(a + b, q)
-                worst_beta = max(worst_beta, abs(q_beta(a, b, q) - ref) / ref)
+                ref = float(mp_qbeta(a, b, q))
+                got = q_gamma(a, q) * q_gamma(b, q) / q_gamma(a + b, q)
+                worst_beta = max(worst_beta, abs(got - ref) / ref)
 
     worst_parts = 0.0
     for q in (0.4, 0.7):
@@ -277,12 +279,13 @@ def test_criterion_6_special_function_suite():
             dqf = lambda t: q_derivative(f, t, q)
             dqg = lambda t: q_derivative(g, t, q)
             a, b = 0.2, 1.0
+            over_ab = lambda h: q_integral_zero(h, b, q) - q_integral_zero(h, a, q)
             boundary = f(b) * g(b) - f(a) * g(a)
-            lhs = q_integral(lambda t: g(t) * dqf(t), a, b, q)
-            rhs = boundary - q_integral(lambda t: f(q * t) * dqg(t), a, b, q)
+            lhs = over_ab(lambda t: g(t) * dqf(t))
+            rhs = boundary - over_ab(lambda t: f(q * t) * dqg(t))
             worst_parts = max(worst_parts, abs(lhs - rhs) / (1.0 + abs(rhs)))
-            lhs = q_integral(lambda t: g(q * t) * dqf(t), a, b, q)
-            rhs = boundary - q_integral(lambda t: f(t) * dqg(t), a, b, q)
+            lhs = over_ab(lambda t: g(q * t) * dqf(t))
+            rhs = boundary - over_ab(lambda t: f(t) * dqg(t))
             worst_parts = max(worst_parts, abs(lhs - rhs) / (1.0 + abs(rhs)))
 
     worst_kernel = 0.0
@@ -307,14 +310,14 @@ def test_criterion_6_special_function_suite():
                 worst_kernel = max(worst_kernel, abs(lhs - rhs) / (1.0 + abs(rhs)))
 
     wall = time.perf_counter() - start
-    ok = (worst_rec <= 1e-10 and worst_beta <= 1e-8 and worst_parts <= 1e-8
+    ok = (worst_rec <= 1e-10 and worst_beta <= 1e-12 and worst_parts <= 1e-8
           and worst_kernel <= 1e-9 and bound_ok and wall < 10.0)
     _report(6, ok, f"gamma recurrence {worst_rec:.2g} (1e-10), beta/gamma "
-                   f"{worst_beta:.2g} (1e-8), int-by-parts {worst_parts:.2g} "
+                   f"{worst_beta:.2g} (1e-12), int-by-parts {worst_parts:.2g} "
                    f"(1e-8), kernel identity {worst_kernel:.2g} (1e-9), "
                    f"kernel bound {bound_ok}; runtime {wall:.2f}s")
     assert worst_rec <= 1e-10
-    assert worst_beta <= 1e-8
+    assert worst_beta <= 1e-12
     assert worst_parts <= 1e-8
     assert worst_kernel <= 1e-9
     assert bound_ok

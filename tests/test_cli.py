@@ -366,6 +366,22 @@ def test_main_converge_ok(tmp_path):
     assert "fitted log-error decay" in out.read_text()
 
 
+@pytest.mark.parametrize("argv, target, message", [
+    pytest.param(["solve", "--problem", "example1", "--q", "1/2", "--N", "5"],
+                 "missing/x.csv", "No such file or directory", id="solve"),
+    pytest.param(["converge", "--problem", "example2", "--q", "2/3",
+                  "--N-list", "6,8", "--delta", "0.5"], ".", "Is a directory", id="converge"),
+])
+def test_an_out_that_cannot_be_written_is_an_invalid_argument(argv, target, message,
+                                                              tmp_path, capsys):
+    # a file in a missing directory, or a directory: one error line and
+    # exit 3, not a traceback with the exit code of a numerical failure
+    assert main(argv + ["--out", str(tmp_path / target)]) == EXIT_ARGS
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def _bounds(name, q, alpha, N, m2=None):
     return run_bounds(make_problem(name, q, 1.0, alpha), QScale(q), N, m2=m2)
 

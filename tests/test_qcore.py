@@ -11,26 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfde
 from qfde import (
     NonConvergenceError,
     PoleError,
     QScale,
     SingularKernelError,
-    q_beta,
     q_bracket,
     q_derivative,
     q_derivative_n,
     q_factorial,
     q_gamma,
-    q_integral,
     q_integral_zero,
-    shifted_factorial_int,
     shifted_factorial_real,
 )
 from qfde import l1q, qcore, weight_table
 from qfde.qcore import tail_terms
 
-from oracles import mp_qgamma, mp_shifted_real
+from oracles import mp_qbeta, mp_qgamma, mp_shifted_real
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(set(qfde.__all__)) == len(qfde.__all__)
+    for name in qfde.__all__:
+        assert hasattr(qfde, name), name
 
 
 def test_q_bracket_values():
@@ -57,14 +61,6 @@ def test_q_factorial_values():
         q_factorial(-1, 0.5)
 
 
-def test_shifted_factorial_int_values():
-    assert shifted_factorial_int(1.0, 0.5, 0, 0.5) == 1.0
-    assert shifted_factorial_int(1.0, 0.5, 2, 0.5) == pytest.approx(0.375, rel=1e-15)
-    assert shifted_factorial_int(2.0, 0.0, 3, 0.3) == pytest.approx(8.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        shifted_factorial_int(1.0, 0.5, -1, 0.5)
-
-
 def test_shifted_factorial_real_s_zero_closed_form():
     assert shifted_factorial_real(2.0, 0.0, 0.7, 0.5) == pytest.approx(
         2.0 ** 0.7, rel=1e-13)
@@ -85,10 +81,14 @@ def test_shifted_factorial_real_oracle_values():
 
 
 def test_shifted_factorial_real_integer_routing():
-    # integer orders must agree with the finite product exactly
-    assert shifted_factorial_real(1.0, 0.5, 2.0, 0.5) == shifted_factorial_int(
-        1.0, 0.5, 2, 0.5)
+    # a nonnegative integer order k is the finite product prod_(i<k) (t - q^i s),
+    # formed factor by factor, exactly
+    assert shifted_factorial_real(1.0, 0.5, 0.0, 0.5) == 1.0
     assert shifted_factorial_real(2.0, 1.0, 0.0, 0.4) == 1.0
+    assert shifted_factorial_real(1.0, 0.5, 2.0, 0.5) == 0.375
+    assert shifted_factorial_real(2.0, 0.0, 3.0, 0.3) == 8.0
+    assert shifted_factorial_real(0.9, 0.4, 3.0, 0.7) == (
+        (0.9 - 0.4) * (0.9 - 0.7 * 0.4) * (0.9 - 0.7 * 0.7 * 0.4))
 
 
 def test_shifted_factorial_real_domain(monkeypatch):
@@ -252,18 +252,6 @@ def test_q_integral_zero_values():
         q_integral_zero(lambda t: t, -1.0, 0.5)
 
 
-def test_q_integral_values():
-    assert q_integral(lambda t: 1.0, 0.7, 0.7, 0.5) == 0.0
-    assert q_integral(lambda t: 1.0, 0.5, 1.0, 0.5) == pytest.approx(0.5, rel=1e-13)
-    # primitive of t is t^2/(1+q)
-    assert q_integral(lambda t: t, 0.25, 1.0, 0.5) == pytest.approx(
-        0.625, rel=1e-13)
-    with pytest.raises(ValueError):
-        q_integral(lambda t: t, 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        q_integral(lambda t: t, -0.1, 0.5, 0.5)
-
-
 def test_q_derivative_values():
     assert q_derivative(lambda t: 3.0, 2.0, 0.5) == 0.0
     # D_q t^2 = (1+q) t
@@ -407,40 +395,15 @@ def test_lattice_sum_never_settles_past_a_nan(monkeypatch, wrap):
 
 
 def test_q_beta_gamma_identity():
-    # the last two used to fail: a bare OverflowError from t^(alpha-1) at
-    # tiny lattice points, and a budget of 10,000 terms where the sum
-    # needs T(q)/alpha = 16,040
+    # B_q(alpha, beta) = Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta),
+    # the 40-digit Jackson sum of B_q against the float q-gammas; the last
+    # two cases need T(q)/alpha = 16,040 terms of the sum and more
     cases = [(alpha, beta, q) for q in (0.3, 0.5, 0.8)
              for alpha in (0.5, 1.0, 1.5, 2.5) for beta in (0.5, 1.0, 1.5, 2.5)]
     for alpha, beta, q in cases + [(0.01, 0.5, 0.5), (0.2, 1.0, 0.99)]:
-        lhs = q_beta(alpha, beta, q)
-        rhs = q_gamma(alpha, q) * q_gamma(beta, q) / q_gamma(alpha + beta, q)
-        assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
-
-
-@pytest.mark.parametrize("q, beta", [(0.999, 103.5), (0.999, 110.0), (0.99, 170.0),
-                                     (0.5, 1100.0)])
-def test_q_beta_at_large_beta(q, beta):
-    # B_q(1, beta) = 1/[beta]_q.  A first term formed as
-    # Gamma_q(beta) (1-q)^(beta-1) lost digits to a subnormal factor at
-    # (0.999, 103.5), read 0.0 at (0.999, 110) and (0.99, 170), and
-    # overflowed at (0.5, 1100); worst measured now 7e-14
-    assert q_beta(1.0, beta, q) == pytest.approx(1.0 / q_bracket(beta, q), rel=2e-13)
-
-
-def test_q_beta_refuses_beta_rounding_onto_the_pole():
-    with pytest.raises(SingularKernelError, match="pole"):
-        q_beta(1.0, 1e-17, 0.5)
-
-
-def test_q_beta_rejects_non_finite_orders():
-    # inf used to return 1.1116 and nan to run 10,000 terms into
-    # NonConvergenceError
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite alpha"):
-            q_beta(bad, 0.5, 0.5)
-        with pytest.raises(ValueError, match="finite beta"):
-            q_beta(0.5, bad, 0.5)
+        ref = float(mp_qbeta(alpha, beta, q))
+        got = q_gamma(alpha, q) * q_gamma(beta, q) / q_gamma(alpha + beta, q)
+        assert abs(got - ref) <= 1e-12 * ref, (alpha, beta, q)
 
 
 def test_integration_by_parts_both_forms():
@@ -456,12 +419,13 @@ def test_integration_by_parts_both_forms():
             dqf = lambda t: q_derivative(f, t, q)
             dqg = lambda t: q_derivative(g, t, q)
             a, b = 0.3, 0.9
+            over_ab = lambda h: q_integral_zero(h, b, q) - q_integral_zero(h, a, q)
             boundary = f(b) * g(b) - f(a) * g(a)
-            lhs1 = q_integral(lambda t: g(t) * dqf(t), a, b, q)
-            rhs1 = boundary - q_integral(lambda t: f(q * t) * dqg(t), a, b, q)
+            lhs1 = over_ab(lambda t: g(t) * dqf(t))
+            rhs1 = boundary - over_ab(lambda t: f(q * t) * dqg(t))
             assert abs(lhs1 - rhs1) <= 1e-8 * (1.0 + abs(rhs1))
-            lhs2 = q_integral(lambda t: g(q * t) * dqf(t), a, b, q)
-            rhs2 = boundary - q_integral(lambda t: f(t) * dqg(t), a, b, q)
+            lhs2 = over_ab(lambda t: g(q * t) * dqf(t))
+            rhs2 = boundary - over_ab(lambda t: f(t) * dqg(t))
             assert abs(lhs2 - rhs2) <= 1e-8 * (1.0 + abs(rhs2))
 
 
@@ -496,17 +460,6 @@ def test_q_integral_linearity(a, b, x, q):
     lhs = q_integral_zero(lambda u: a * f(u) + b * g(u), x, q)
     rhs = a * q_integral_zero(f, x, q) + b * q_integral_zero(g, x, q)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-       q=st.floats(0.15, 0.9))
-def test_q_integral_additivity(data, q):
-    a, c, b = sorted(data)
-    f = lambda u: u * u - 0.3 * u
-    whole = q_integral(f, a, b, q)
-    split = q_integral(f, a, c, q) + q_integral(f, c, b, q)
-    assert abs(whole - split) <= 1e-12 * (1.0 + abs(whole))
 
 
 def test_q_integral_modulus_bound():

@@ -16,11 +16,9 @@ from qfde import (
     frac_q_integral,
     l1q,
     make_problem,
-    q_beta,
     q_derivative,
     q_derivative_n,
     q_gamma,
-    q_integral,
     q_integral_zero,
     qcore,
     rl_q_derivative,
@@ -147,8 +145,7 @@ def test_frac_integral_against_live_oracle():
 
 def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
     # every order reads its kernel and Gamma_q off a weight table, and so
-    # do the solver and q_beta: no truncated product runs on any of these
-    # paths
+    # does the solver: no truncated product runs on any of these paths
     calls = []
     product = qcore.shifted_factorial_real
 
@@ -167,7 +164,6 @@ def test_orders_below_one_read_the_kernel_off_the_table(monkeypatch):
         rl_q_derivative(f, order, 0.9, 0.7)
     for x in (0.4, 1.0, 1.5, 2.7, -0.6):
         q_gamma.__wrapped__(x, 0.7)     # past the cache
-        q_beta(x + 1.0, x + 1.0, 0.7)
     solve_ivp(make_problem("example2", 0.7), QScale(0.7, 1.0), 20)
     assert calls == []
     for x in (0.3, 1.0):
@@ -372,12 +368,11 @@ def test_each_entry_of_a_vector_sum_stops_on_its_own_value(op):
     lambda f, t: q_derivative(f, t, 0.5),
     lambda f, t: q_derivative_n(f, t, 0.5, 2),
     lambda f, t: q_integral_zero(f, t, 0.5),
-    lambda f, t: q_integral(f, 0.0, t, 0.5),
     lambda f, t: frac_q_integral(f, 0.5, t, 0.5),
     lambda f, t: caputo_q_derivative(f, 0.5, t, 0.5),
     lambda f, t: rl_q_derivative(f, 0.5, t, 0.5),
-], ids=["q_derivative", "q_derivative_n", "q_integral_zero", "q_integral",
-        "integral", "caputo", "rl"])
+], ids=["q_derivative", "q_derivative_n", "q_integral_zero", "integral", "caputo",
+        "rl"])
 def test_a_non_finite_point_is_refused_before_f_is_called(op, point):
     # nan fails every comparison, so each point check must be a range check;
     # a Jackson sum at nan or inf would call f until its budget runs out

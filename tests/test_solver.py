@@ -445,6 +445,23 @@ def test_a_longer_horizon_only_adds_steps(q, N):
     assert np.array_equal(long.fp_iterations[:N], short.fp_iterations)
 
 
+@pytest.mark.parametrize("q, Ns", [(0.5, (10, 15)), (0.9, (40, 80)), (0.99, (400, 1000))])
+def test_node_error_falls_away_from_t1(q, Ns):
+    # for a smooth solution with L = 0, the error at t_n falls away from t_1
+    # like (t_1/t_n)^(1-alpha): |x(t_n) - x^n| / (m2 t_1^2 (t_1/t_n)^(1-alpha)),
+    # m2 = 1 + q = D_q^2 (t^2 + 1), measured 0.010 to 0.45 over this grid,
+    # wherever the denominator is above the rounding floor
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.95):
+        for N in Ns:
+            trace = solve_ivp(make_problem("manufactured-quadratic", q, alpha=alpha),
+                              QScale(q, 1.0), N)
+            t = trace.mesh.nodes[1:]
+            err = np.abs(t * t + 1.0 - trace.states[1:, 0])
+            scale = (1.0 + q) * t[0] ** 2 * (t[0] / t) ** (1.0 - alpha)
+            ratio = err[scale > 1e-12] / scale[scale > 1e-12]
+            assert ratio.size and 0.005 <= ratio.min() and ratio.max() <= 0.5, (alpha, N)
+
+
 def test_solve_unchanged_by_a_larger_solve_before_it(monkeypatch):
     # the N = 400 solve grows the kept weight table of (q, alpha) past
     # T(0.9) = 306, and the N = 40 solve after it reads a slice of that
