@@ -61,6 +61,18 @@ def test_q_factorial_values():
         q_factorial(-1, 0.5)
 
 
+def test_shifted_factorial_int_values():
+    # integer orders of (t - s)^(k): k >= 0 is the finite product
+    # prod_(i<k) (t - q^i s); k = -1 telescopes to 1/(t - s/q)
+    assert shifted_factorial_real(1.0, 0.5, 0.0, 0.5) == 1.0
+    assert shifted_factorial_real(1.0, 0.5, 2.0, 0.5) == 0.375
+    assert shifted_factorial_real(2.0, 0.0, 3.0, 0.3) == 8.0
+    assert shifted_factorial_real(1.0, 0.25, -1.0, 0.5) == pytest.approx(
+        2.0, rel=1e-13)
+    assert shifted_factorial_real(2.0, 0.5, -1.0, 0.5) == pytest.approx(
+        1.0, rel=1e-13)
+
+
 def test_shifted_factorial_real_s_zero_closed_form():
     assert shifted_factorial_real(2.0, 0.0, 0.7, 0.5) == pytest.approx(
         2.0 ** 0.7, rel=1e-13)
@@ -83,10 +95,7 @@ def test_shifted_factorial_real_oracle_values():
 def test_shifted_factorial_real_integer_routing():
     # a nonnegative integer order k is the finite product prod_(i<k) (t - q^i s),
     # formed factor by factor, exactly
-    assert shifted_factorial_real(1.0, 0.5, 0.0, 0.5) == 1.0
     assert shifted_factorial_real(2.0, 1.0, 0.0, 0.4) == 1.0
-    assert shifted_factorial_real(1.0, 0.5, 2.0, 0.5) == 0.375
-    assert shifted_factorial_real(2.0, 0.0, 3.0, 0.3) == 8.0
     assert shifted_factorial_real(0.9, 0.4, 3.0, 0.7) == (
         (0.9 - 0.4) * (0.9 - 0.7 * 0.4) * (0.9 - 0.7 * 0.7 * 0.4))
 
